@@ -7,6 +7,8 @@ entropy is that of |u_i^dag M|^2 row by row, so single-party moves are cheap
 to probe.  Moves are two-column plane rotations (the exponentials of the
 elementary Hermitian generators; per-column phases drop out of the
 objective), scored by value only with a parabolic refinement step.
+Restarts run in lockstep, so each probe is one array operation over all of
+them.
 
 Upper bounds come from the search; rigorous lower bounds from subset von
 Neumann entropies.  The product-overlap bound is heuristic unless the found
@@ -18,8 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +34,12 @@ from .hilbert import (
     shannon_entropy,
     von_neumann_entropy,
 )
+from .indexing import MAX_AMPLITUDES
 
 AGREE_TOL = 1e-6
-THREADS_VAR = "ENTMIN_THREADS"
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
+# rows of cand_h holding (h_a, h_b) for candidates +step, -step, vertex
+_CAND_ROWS = np.array(((0, 2), (1, 3), (4, 5)))
 
 
 @dataclass(frozen=True)
@@ -77,26 +80,27 @@ class OptResult:
 
 def _plogp_rows(p: np.ndarray) -> np.ndarray:
     """Entropy in bits along the last axis of a stack of probability rows."""
-    return -np.sum(p * np.log2(np.maximum(p, 1e-300)), axis=-1)
+    return -np.add.reduce(p * np.log2(np.maximum(p, 1e-300)), axis=-1)
 
 
-def _row_entropy(q: np.ndarray) -> float:
-    return float(_plogp_rows(np.abs(q) ** 2))
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
 
 
-def _apply_unitary_axis(t: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(u.conj().T, t, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
+def _rotate_all(t: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """Amplitudes of t in the product bases of each start: k tensors.
 
-
-def _contract_except(t: np.ndarray, us, skip: int) -> np.ndarray:
-    """Contract every party's basis except one; rows = that party's raw axis."""
-    cur = t
-    for axis in range(t.ndim):
-        if axis != skip:
-            cur = _apply_unitary_axis(cur, us[axis], axis)
-    d = t.shape[skip]
-    return np.moveaxis(cur, skip, 0).reshape(d, -1)
+    ``ws`` is (k, n, d, d), each ws[:, i] the adjoint u^dag of party i+1's
+    basis.  The result is (k, d, ..., d), one rotated tensor per start, so
+    |result|^2 is each start's outcome distribution.  Each step contracts
+    the leading axis and moves it to the back, so the next party leads and
+    after n steps the axes are back in order.
+    """
+    k, n, d = ws.shape[:3]
+    cur = t.reshape(1, d, -1)
+    for axis in range(n):
+        cur = np.matmul(ws[:, axis], cur).transpose(0, 2, 1).reshape(k, d, -1)
+    return cur.reshape((k,) + (d,) * n)
 
 
 def entropy_for_bases(psi: PureState, b: ProductBasis) -> float:
@@ -106,87 +110,95 @@ def entropy_for_bases(psi: PureState, b: ProductBasis) -> float:
     return shannon_entropy(outcome_distribution(psi, b))
 
 
-def _rotated_rows(qa, qb, theta: float, kind: str):
-    c = math.cos(theta)
-    s = math.sin(theta)
-    if kind == "sym":
-        return c * qa - 1j * s * qb, -1j * s * qa + c * qb
-    return c * qa + s * qb, -s * qa + c * qb
+def _optimize_party(y: np.ndarray, dq: int, passes: int,
+                    step: np.ndarray) -> np.ndarray:
+    """Coordinate descent over plane rotations of one party's basis, for k
+    starts at once.
 
+    ``y`` (k, d, dq + d) is updated in place.  Per start, its first dq
+    columns are the rotated amplitudes q = w M (rows indexed by the
+    party's outcome) and its last d columns are w = u^dag, the party's
+    basis as rows.  A rotation of the basis acts on rows of q and of w
+    alike, so both are rotated as rows of y.  Returns the row entropies
+    (k, d).
 
-def _rotate_columns(u: np.ndarray, a: int, b: int, theta: float, kind: str) -> None:
-    c = math.cos(theta)
-    s = math.sin(theta)
-    ca = u[:, a].copy()
-    cb = u[:, b].copy()
-    if kind == "sym":
-        u[:, a] = c * ca + 1j * s * cb
-        u[:, b] = 1j * s * ca + c * cb
-    else:
-        u[:, a] = c * ca + s * cb
-        u[:, b] = -s * ca + c * cb
-
-
-def _optimize_party(u: np.ndarray, m: np.ndarray, passes: int, step: float):
-    """Coordinate descent over plane rotations of one party's basis columns.
-
-    A rotation in the (a, b) column plane changes only outcome rows a and b,
-    and their probabilities have a closed form in p_a, p_b and one cross
+    A rotation in the (a, b) plane changes only outcome rows a and b, and
+    their probabilities have a closed form in p_a, p_b and one cross
     vector, so probes run on real arrays without rebuilding amplitudes:
       p_a(theta) = cos^2 p_a + sin^2 p_b + 2 sin cos * cr
       p_b(theta) = p_a + p_b - p_a(theta)
     with cr = -Im(q_a conj(q_b)) for the phased rotation and +Re for the
-    real one.
+    real one.  Each (a, b, kind) probe is one array operation over the
+    starts; each start keeps its own step size, accepts a move only if it
+    lowers its own entropy, and stops after a pass that accepted nothing.
     """
-    d = u.shape[0]
-    q = u.conj().T @ m
-    p = np.abs(q) ** 2
+    k, d, _ = y.shape
+    q = y[:, :, :dq]
+    p = _abs2(q)
     h = _plogp_rows(p)
-    c = math.cos(step)
-    s = math.sin(step)
-    c2, s2, tcs = c * c, s * s, 2.0 * c * s
+    c = np.cos(step)
+    s = np.sin(step)
+    c2, s2, tcs = (c * c)[:, None], (s * s)[:, None], (2.0 * c * s)[:, None]
+    half_step = 0.5 * step
+    two_step = 2.0 * step
+    # candidate angles +step, -step, parabola vertex, and their row entropies
+    # [h_a(+), h_a(-), h_b(+), h_b(-), h_a(vertex), h_b(vertex)]
+    cand_t = np.stack((step, -step, step))
+    cand_h = np.empty((6, k))
+    live = np.ones(k, dtype=bool)
     for _ in range(passes):
-        improved = False
+        improved = np.zeros(k, dtype=bool)
         for a, b in itertools.combinations(range(d), 2):
-            cross = q[a] * q[b].conj()
-            sum_ab = p[a] + p[b]
+            ab = np.array((a, b))
             for kind in ("sym", "asym"):
-                cr = -cross.imag if kind == "sym" else cross.real
-                f0 = h[a] + h[b]
-                base = c2 * p[a] + s2 * p[b]
-                shift = tcs * cr
-                pa_p = base + shift
-                pa_m = base - shift
-                hh = _plogp_rows(np.stack((pa_p, sum_ab - pa_p,
-                                           pa_m, sum_ab - pa_m)))
-                cands = [(hh[0] + hh[1], step, hh[0], hh[1]),
-                         (hh[2] + hh[3], -step, hh[2], hh[3])]
-                curv = cands[0][0] - 2.0 * f0 + cands[1][0]
-                if curv > 1e-15:
-                    theta = 0.5 * step * (cands[1][0] - cands[0][0]) / curv
-                    theta = max(-2.0 * step, min(2.0 * step, theta))
-                    if abs(theta) > 1e-12:
-                        cf = math.cos(theta)
-                        sf = math.sin(theta)
-                        pa_r = (cf * cf) * p[a] + (sf * sf) * p[b] \
-                            + (2.0 * cf * sf) * cr
-                        hr = _plogp_rows(np.stack((pa_r, sum_ab - pa_r)))
-                        cands.append((hr[0] + hr[1], theta, hr[0], hr[1]))
-                f_best, t_best, ha_new, hb_new = min(
-                    cands, key=lambda cc: (cc[0], abs(cc[1])))
-                if f_best < f0 - 1e-14:
-                    q[a], q[b] = _rotated_rows(q[a], q[b], t_best, kind)
-                    _rotate_columns(u, a, b, t_best, kind)
-                    p[a] = np.abs(q[a]) ** 2
-                    p[b] = np.abs(q[b]) ** 2
-                    h[a] = ha_new
-                    h[b] = hb_new
-                    cross = q[a] * q[b].conj()
-                    sum_ab = p[a] + p[b]
-                    improved = True
-        if not improved:
+                cross = q[:, a] * q[:, b].conj()
+                cr = np.negative(cross.imag) if kind == "sym" else cross.real
+                pa, pb = p[:, a], p[:, b]
+                sum_ab = pa + pb
+                f0 = h[:, a] + h[:, b]
+                pm = (c2 * pa + s2 * pb) + _SIGNS * (tcs * cr)
+                cand_h[:4] = _plogp_rows(np.concatenate((pm, sum_ab - pm)))
+                f = cand_h[:2] + cand_h[2:4]
+                curv = f[0] - 2.0 * f0 + f[1]
+                fit = curv > 1e-15
+                theta = half_step * (f[1] - f[0]) / np.where(fit, curv, 1.0)
+                theta = np.minimum(np.maximum(theta, -two_step), two_step)
+                abs_theta = np.abs(theta)
+                fit &= abs_theta > 1e-12
+                cf = np.cos(theta)[:, None]
+                sf = np.sin(theta)[:, None]
+                pa_r = ((cf * cf) * pa + (sf * sf) * pb + (2.0 * cf * sf) * cr)[None]
+                cand_h[4:] = _plogp_rows(np.concatenate((pa_r, sum_ab - pa_r)))
+                f_r = np.where(fit, cand_h[4] + cand_h[5], np.inf)
+                # the least f wins, then the least |theta|, then the first
+                sel = (f[1] < f[0]).astype(np.intp)
+                f_best = np.minimum(f[0], f[1])
+                take_r = (f_r < f_best) | ((f_r == f_best) & (abs_theta < step))
+                acc = np.flatnonzero(live & (np.minimum(f_best, f_r) < f0 - 1e-14))
+                if acc.size == 0:
+                    continue
+                sel[take_r] = 2
+                sel = sel[acc]
+                cand_t[2] = theta
+                t_best = cand_t[sel, acc][:, None, None]
+                cb = np.cos(t_best)
+                sb = np.sin(t_best)
+                # rows (a, b) -> (c a - i s b, c b - i s a) for the phased
+                # rotation and (c a + s b, c b - s a) for the real one
+                pair = y[acc[:, None], ab]
+                swap = pair[:, ::-1]
+                if kind == "sym":
+                    pair = cb * pair - 1j * sb * swap
+                else:
+                    pair = cb * pair + (sb * _SIGNS[:, 0]) * swap
+                y[acc[:, None], ab] = pair
+                p[acc[:, None], ab] = _abs2(pair[:, :, :dq])
+                h[acc[:, None], ab] = cand_h[_CAND_ROWS[sel], acc[:, None]]
+                improved[acc] = True
+        live &= improved
+        if not live.any():
             break
-    return u, float(h.sum())
+    return h
 
 
 def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -214,30 +226,54 @@ def _initial_bases(psi: PureState, restart: int, seed: int) -> list:
     return [_haar_unitary(psi.d, rng) for _ in range(psi.n)]
 
 
-def _run_restart(psi: PureState, restart: int, cfg: OptConfig):
-    t = psi.tensor()
-    us = _initial_bases(psi, restart, cfg.seed)
-    step = 0.6
-    m = _contract_except(t, us, 0)
-    h_cur = float(sum(_row_entropy((us[0].conj().T @ m)[j]) for j in range(psi.d)))
-    converged = False
-    stalls = 0
+def _batch_size(n: int, d: int, restarts: int) -> int:
+    """Starts run together: their stacked tensors stay within MAX_AMPLITUDES."""
+    return max(1, min(restarts, MAX_AMPLITUDES // d**n))
+
+
+def _run_lockstep(t: np.ndarray, us: np.ndarray, cfg: OptConfig):
+    """Alternating minimization from k starting bases us (k, n, d, d) at once.
+
+    Each sweep rotates the tensor of every unconverged start once from
+    psi, then updates the parties in turn.  A party update leaves q = u^dag M
+    as the start's fully rotated tensor, so the next party reads its rows
+    from it without contracting again.  Each start keeps its own step size,
+    stall count and convergence flag, and leaves the batch when it
+    converges, so its arithmetic does not depend on the other starts.
+    Returns per-start entropies (k,), bases (k, n, d, d), convergence flags
+    and sweeps used.
+    """
+    k, n, d = us.shape[:3]
+    ws = us.conj().transpose(0, 1, 3, 2)
+    h_cur = _plogp_rows(_abs2(_rotate_all(t, ws).reshape(k, d, -1))).sum(axis=-1)
+    step = np.full(k, 0.6)
+    stalls = np.zeros(k, dtype=np.int64)
+    converged = np.zeros(k, dtype=bool)
+    sweeps = np.zeros(k, dtype=np.int64)
+    dq = d ** (n - 1)
     for _ in range(cfg.max_sweeps):
-        h_before = h_cur
-        for axis in range(psi.n):
-            m = _contract_except(t, us, axis)
-            us[axis], h_cur = _optimize_party(us[axis].copy(), m, cfg.per_party_steps, step)
-        if h_before - h_cur < cfg.tol:
-            # parabolic probes already refine below the step scale, so a
-            # couple of shrink-and-retry rounds is enough to call it done
-            stalls += 1
-            if stalls >= 3:
-                converged = True
-                break
-            step *= 0.15
-        else:
-            stalls = 0
-    return h_cur, us, converged
+        act = np.flatnonzero(~converged)
+        if act.size == 0:
+            break
+        w = ws[act]
+        rot = _rotate_all(t, w)
+        for axis in range(n):
+            q = np.moveaxis(rot, 1 + axis, 1).reshape(act.size, d, dq)
+            y = np.concatenate((q, w[:, axis]), axis=-1)
+            h = _optimize_party(y, dq, cfg.per_party_steps, step[act])
+            w[:, axis] = y[:, :, dq:]
+            rot = np.moveaxis(y[:, :, :dq].reshape(rot.shape), 1, 1 + axis)
+        ws[act] = w
+        sweeps[act] += 1
+        h_before = h_cur[act]
+        h_cur[act] = h.sum(axis=-1)
+        # parabolic probes already refine below the step scale, so a
+        # couple of shrink-and-retry rounds is enough to call it done
+        stall = h_before - h_cur[act] < cfg.tol
+        stalls[act] = np.where(stall, stalls[act] + 1, 0)
+        converged[act] = stalls[act] >= 3
+        step[act] = np.where(stall & ~converged[act], step[act] * 0.15, step[act])
+    return h_cur, ws.conj().transpose(0, 1, 3, 2), converged, sweeps
 
 
 def _canonical_basis(psi_n: int, d: int, us) -> ProductBasis:
@@ -355,21 +391,21 @@ def minimize_entropy(psi: PureState, cfg: OptConfig = OptConfig(),
 
     Restart 0 starts from identity bases, restart 1 from the marginal
     eigenbases (exact for two parties), the rest from seeded Haar draws.
-    Deterministic given cfg.seed regardless of thread scheduling; set the
-    ENTMIN_THREADS environment variable to run restarts concurrently.
+    The restarts run in lockstep, as many at once as fit in MAX_AMPLITUDES
+    stacked amplitudes; each follows its own step size and convergence
+    test, so the result is deterministic given cfg.seed and does not depend
+    on how the restarts are batched.
     """
-    threads = int(os.environ.get(THREADS_VAR, "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(lambda r: _run_restart(psi, r, cfg), range(cfg.restarts)))
-    else:
-        runs = [_run_restart(psi, r, cfg) for r in range(cfg.restarts)]
+    starts = np.array([_initial_bases(psi, r, cfg.seed) for r in range(cfg.restarts)])
+    t = psi.tensor()
+    batch = _batch_size(psi.n, psi.d, cfg.restarts)
+    runs = [_run_lockstep(t, starts[i:i + batch], cfg)
+            for i in range(0, cfg.restarts, batch)]
+    h, us, converged, _ = (np.concatenate(parts) for parts in zip(*runs))
+    best = int(np.argmin(h))
+    agreeing = int(np.sum(h - h[best] <= AGREE_TOL))
 
-    best_idx = min(range(len(runs)), key=lambda r: (runs[r][0], r))
-    h_best, us_best, converged = runs[best_idx]
-    agreeing = sum(1 for h, _, _ in runs if h - h_best <= AGREE_TOL)
-
-    basis = _canonical_basis(psi.n, psi.d, us_best)
+    basis = _canonical_basis(psi.n, psi.d, us[best])
     s_upper = entropy_for_bases(psi, basis)
 
     s_lower, subset = best_subset_lower_bound(psi)
@@ -385,7 +421,7 @@ def minimize_entropy(psi: PureState, cfg: OptConfig = OptConfig(),
             s_lower = ov_bound
             witness = f"product-overlap (heuristic), overlap {m_star:.12g}"
     return OptResult(s_upper, basis, s_lower, witness,
-                     converged, agreeing, cfg.seed)
+                     bool(converged[best]), agreeing, cfg.seed)
 
 
 def result_to_dict(res: OptResult) -> dict:

@@ -116,9 +116,7 @@ def ghz_suite() -> dict:
 
 
 def _su_random(d: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    q = entopt._haar_unitary(d, rng)
     det = np.linalg.det(q)
     return q * np.exp(-1j * np.angle(det) / d)
 
@@ -205,7 +203,8 @@ def hexacode_suite(restarts: int = 24, seed: int = 7) -> dict:
         via_blocks = gf2uniform.graph_reduced_density(g, w).mat
         worst = max(worst, float(np.max(np.abs(via_trace - eye8))),
                     float(np.max(np.abs(via_blocks - eye8))))
-    checks.append(_below("10 bipartition reps: max |rho_w - I/8|, both paths", worst, 1e-12))
+    mixed = _below("10 bipartition reps: max |rho_w - I/8|, both paths", worst, 1e-12)
+    checks.append(mixed)
 
     # (c) stabilizer weight
     checks.append(_close("minimal stabilizer weight",
@@ -231,9 +230,8 @@ def hexacode_suite(restarts: int = 24, seed: int = 7) -> dict:
 
     # (e) bracket [4, 4 + 1e-6]: lower bound from the polytope chain
     chain = kpolytope.verify_inf6_chain(samples=10, seed=5)
-    premise = checks[2]["passed"]  # maximally mixed 3-blocks
     checks.append(_flag("polytope chain (inf over 3-uniform members = 4)",
-                        bool(chain["passed"]) and premise))
+                        bool(chain["passed"]) and mixed["passed"]))
     checks.append(_below("s_upper - 4", res.s_upper - 4.0, 1e-6))
     checks.append(_below("4 - s_upper (upper bound stays above the truth)",
                          4.0 - res.s_upper, 1e-9))

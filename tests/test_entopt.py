@@ -7,6 +7,9 @@ import pytest
 from entmin.entopt import (
     OptConfig,
     OptResult,
+    _batch_size,
+    _initial_bases,
+    _run_lockstep,
     best_subset_lower_bound,
     bipartite_exact,
     entropy_for_bases,
@@ -26,7 +29,8 @@ from entmin.hilbert import (
     shannon_entropy,
     tensor_product,
 )
-from entmin.states import determinant_state, ghz
+from entmin.indexing import MAX_AMPLITUDES
+from entmin.states import determinant_state, ghz, hexacode_state
 
 from conftest import outcome_oracle
 
@@ -109,13 +113,45 @@ def test_minimizer_is_deterministic(rng):
     assert a == b
 
 
-def test_minimizer_thread_pool_merge_is_identical(monkeypatch):
-    psi = random_state(3, 2, np.random.default_rng(78))
-    cfg = OptConfig(restarts=6, max_sweeps=30, tol=1e-10, seed=14)
-    a = result_to_dict(minimize_entropy(psi, cfg))
-    monkeypatch.setenv("ENTMIN_THREADS", "3")
-    b = result_to_dict(minimize_entropy(psi, cfg))
-    assert a == b
+def test_lockstep_result_does_not_depend_on_batch():
+    psi = random_state(3, 2, np.random.default_rng(2026))
+    cfg = OptConfig(max_sweeps=100)
+    starts = np.array([_initial_bases(psi, r, cfg.seed) for r in (0, 2, 3)])
+    h, _, conv, sweeps = _run_lockstep(psi.tensor(), starts, cfg)
+    # the starts stop after different sweep counts, one at the sweep limit,
+    # so the batch shrinks while the others run on
+    assert len(set(sweeps.tolist())) == 3 and conv.any() and not conv.all()
+    for i in range(3):
+        h1, _, conv1, sweeps1 = _run_lockstep(psi.tensor(), starts[i:i + 1], cfg)
+        assert abs(h1[0] - h[i]) <= 1e-12
+        assert sweeps1[0] == sweeps[i]
+        assert conv1[0] == conv[i]
+
+
+# s_upper at the default OptConfig as reported by the earlier optimizer,
+# which ran one restart at a time
+SEQUENTIAL_S_UPPER = [
+    (hexacode_state, 4.000000000000007),
+    (lambda: ghz(3, 2), 1.0000000000000069),
+    (lambda: determinant_state(3), 2.584962500721159),
+    (lambda: random_state(3, 2, np.random.default_rng(2026)), 0.8836887861163488),
+]
+
+
+@pytest.mark.parametrize("make, before", SEQUENTIAL_S_UPPER)
+def test_minimizer_no_worse_than_sequential_restarts(make, before):
+    assert minimize_entropy(make(), OptConfig()).s_upper <= before + 1e-9
+
+
+def test_batch_size_keeps_stacked_amplitudes_under_cap():
+    # hexacode, GHZ(3,2), det(4), random (2,4), (5,3) and (12,2)
+    for n, d in ((6, 2), (3, 2), (4, 4), (2, 4), (5, 3), (12, 2)):
+        assert _batch_size(n, d, 24) == 24
+    assert _batch_size(3, 2, 5) == 5
+    for n, d, want in ((22, 2, 1), (21, 2, 2), (20, 2, 4), (13, 3, 2), (11, 4, 1)):
+        got = _batch_size(n, d, 24)
+        assert got == want
+        assert got * d**n <= MAX_AMPLITUDES
 
 
 def test_subset_bounds():

@@ -4,6 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from entmin import gf2uniform
 from entmin.errors import CapacityError, ValidationError
 from entmin.gf2uniform import (
     BitDistribution,
@@ -258,3 +259,17 @@ def test_graph_reduced_density_requires_proper_subset():
     g = hexacode_graph()
     with pytest.raises(ValidationError):
         graph_reduced_density(g, (1, 2, 3, 4, 5, 6))
+
+
+def test_graph_reduced_density_caps_kept_block_before_allocating(monkeypatch):
+    # a 13-vertex kept block would need about 3.6 GB, so the cap must fire
+    # before any array is built: numpy is unreachable inside the call
+    g = GraphSpec(14, np.zeros((14, 14), dtype=np.uint8))
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} used before the capacity check")
+
+    monkeypatch.setattr(gf2uniform, "np", NoNumpy())
+    with pytest.raises(CapacityError):
+        graph_reduced_density(g, tuple(range(1, 14)))
