@@ -25,6 +25,8 @@ import numpy as np
 from .errors import CapacityError, ValidationError
 from .gf2uniform import (
     BitDistribution,
+    _hamming_weights,
+    _masked_parity,
     fourier,
     inverse_fourier,
     is_k_uniform,
@@ -38,6 +40,7 @@ QPOINT_TOL = 1e-12
 DEDUP_DECIMALS = 9
 MAX_FREE_DIM = 8
 MAX_ACTIVE_SETS = 10_000_000
+ACTIVE_SET_CHUNK = 20_000
 
 TYPE3_ENTROPY = 17.0 / 6.0 + math.log2(3.0)
 
@@ -65,9 +68,7 @@ class QPoint53:
 
 def _qpoint_probabilities(pt: QPoint53) -> np.ndarray:
     x = np.arange(32)
-    wt = np.zeros(32, dtype=np.int64)
-    for b in range(5):
-        wt += (x >> b) & 1
+    wt = _hamming_weights(32, 5)
     bracket = np.full(32, pt.q, dtype=np.float64)
     for i in range(1, 6):
         xi = (x >> (5 - i)) & 1  # party i at bit 5 - i
@@ -141,19 +142,14 @@ class PolytopeSpec:
         if not 0 <= self.k <= self.n:
             raise ValidationError(f"uniformity order {self.k} out of range")
         size = 1 << self.n
-        wt = np.zeros(size, dtype=np.int64)
-        for b in range(self.n):
-            wt += (np.arange(size) >> b) & 1
+        wt = _hamming_weights(size, self.n)
         free = tuple(int(y) for y in np.flatnonzero(wt > self.k))
         if len(free) > MAX_FREE_DIM:
             raise CapacityError(f"{len(free)} free coefficients exceeds {MAX_FREE_DIM}")
+        idx = np.arange(size)
         signs = np.ones((size, len(free)))
         for col, y in enumerate(free):
-            par = np.zeros(size, dtype=np.int64)
-            for b in range(self.n):
-                if (y >> b) & 1:
-                    par ^= (np.arange(size) >> b) & 1
-            signs[:, col] = np.where(par, -1.0, 1.0)
+            signs[:, col] = np.where(_masked_parity(idx, y), -1.0, 1.0)
         faces = tuple(int(x) for x in self.zero_faces)
         if any(not 0 <= x < size for x in faces):
             raise ValidationError(f"zero face out of range: {faces}")
@@ -190,9 +186,12 @@ def enumerate_vertices_generic(spec: PolytopeSpec) -> list:
     """Brute-force vertex enumeration over active constraint sets.
 
     Face equalities are eliminated first (min-norm particular solution plus
-    an orthonormal null basis), then every D-subset of the inequality rows
-    is solved and kept when feasible for the whole system.  Degenerate
-    vertices collapse in the 1e-9 dedup.  Returns distributions.
+    an orthonormal null basis).  Then every D-subset of the inequality rows
+    is solved, in chunks of ACTIVE_SET_CHUNK: each chunk's nonsingular
+    systems are solved in one batch and its solutions tested against the
+    whole system in one product, keeping only the feasible ones.  Degenerate
+    vertices collapse in one 1e-9 dedup at the end, which keeps the first
+    occurrence of each, in active-set order.  Returns distributions.
     """
     a = spec.ineq_a
     b = spec.ineq_b
@@ -211,38 +210,31 @@ def enumerate_vertices_generic(spec: PolytopeSpec) -> list:
     a_red = a @ nbasis
     b_red = b - a @ t0
 
-    found = []
-    seen = set()
-
-    def consider(u_vec: np.ndarray):
-        if np.any(a_red @ u_vec > b_red + 1e-9):
-            return
-        t = t0 + nbasis @ u_vec
-        key = tuple(np.round(t, DEDUP_DECIMALS))
-        if key in seen:
-            return
-        seen.add(key)
-        found.append(t)
-
+    # filtering each chunk as it is solved keeps memory at one chunk, not
+    # every solved active set of the run
+    kept = []
     if r == 0:
-        consider(np.zeros(0))
+        kept.append(np.zeros((1, 0)))
     else:
         combos = itertools.combinations(range(rows), r)
         while True:
-            chunk = list(itertools.islice(combos, 20_000))
-            if not chunk:
+            flat = np.fromiter(
+                itertools.chain.from_iterable(itertools.islice(combos, ACTIVE_SET_CHUNK)),
+                dtype=np.intp)
+            if flat.size == 0:
                 break
-            idx = np.array(chunk)
+            idx = flat.reshape(-1, r)
             mats = a_red[idx]                      # (B, r, r)
-            dets = np.abs(np.linalg.det(mats))
-            good = np.flatnonzero(dets > 1e-9)
+            good = np.flatnonzero(np.abs(np.linalg.det(mats)) > 1e-9)
             if good.size == 0:
                 continue
             # trailing axis keeps the rhs a stack of vectors under numpy 2
             sols = np.linalg.solve(mats[good], b_red[idx[good]][..., None])[..., 0]
-            for u_vec in sols:
-                consider(u_vec)
-    return [spec.coeffs_to_distribution(t) for t in found]
+            feasible = np.all(sols @ a_red.T <= b_red + 1e-9, axis=1)
+            kept.append(sols[feasible])
+    t = t0 + np.concatenate(kept) @ nbasis.T
+    _, first = np.unique(np.round(t, DEDUP_DECIMALS), axis=0, return_index=True)
+    return [spec.coeffs_to_distribution(row) for row in t[np.sort(first)]]
 
 
 def min_entropy_over_polytope(spec: PolytopeSpec) -> float:
@@ -259,9 +251,7 @@ def _sample_p63(rng: np.random.Generator) -> BitDistribution:
     raw = rng.random(64)
     raw /= raw.sum()
     q = fourier(BitDistribution(6, raw))
-    wt = np.zeros(64, dtype=np.int64)
-    for b in range(6):
-        wt += (np.arange(64) >> b) & 1
+    wt = _hamming_weights(64, 6)
     q[(wt >= 1) & (wt <= 3)] = 0.0
     proj = walsh_transform(q) / 64.0
     m = float(proj.min())

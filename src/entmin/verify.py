@@ -218,12 +218,10 @@ def hexacode_suite(restarts: int = 24, seed: int = 7) -> dict:
         rng = np.random.default_rng([909, k])
         us = tuple(entopt._haar_unitary(2, rng) for _ in range(6))
         dists.append(outcome_distribution(psi, ProductBasis(6, 2, us)))
+    wt = gf2uniform._hamming_weights(64, 6)
     worst_q = 0.0
     for p in dists:
         q = gf2uniform.fourier(gf2uniform.BitDistribution(6, p))
-        wt = np.zeros(64, dtype=np.int64)
-        for b in range(6):
-            wt += (np.arange(64) >> b) & 1
         worst_q = max(worst_q, float(np.max(np.abs(q[(wt >= 1) & (wt <= 3)]))))
     checks.append(_below("outcome distributions: max low-weight Fourier component",
                          worst_q, 1e-9))
@@ -293,8 +291,11 @@ def polytope_suite() -> dict:
     checks.append(_below("six vertices at entropy 4, max deviation", dev4, 1e-9))
     checks.append(_below("five vertices at 17/6 + log2(3), max deviation", dev3, 1e-9))
 
+    # the face's vertices are already at hand: min_entropy_over_polytope
+    # would enumerate them a second time
     checks.append(_close("min entropy over the face polytope",
-                         kpolytope.min_entropy_over_polytope(face), 4.0, 1e-9))
+                         min((shannon_entropy(g.p) for g in generic), default=math.inf),
+                         4.0, 1e-9))
     chain = kpolytope.verify_inf6_chain()
     checks.append(_flag("three-link chain passes", bool(chain["passed"])))
 

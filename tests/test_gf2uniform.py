@@ -71,6 +71,17 @@ def test_walsh_transform_is_an_involution_up_to_scale(rng):
     assert np.allclose(walsh_transform(walsh_transform(v)) / 16.0, v)
 
 
+@pytest.mark.parametrize("n", range(0, 11))
+def test_walsh_transform_matches_dense_hadamard(n, rng):
+    v = rng.standard_normal(1 << n)
+    before = v.copy()
+    h = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * n, np.ones((1, 1)))
+    w = walsh_transform(v)
+    assert np.max(np.abs(w - h @ v)) < 1e-12
+    assert np.array_equal(v, before)  # the input is not modified
+    assert np.max(np.abs(walsh_transform(w) / (1 << n) - v)) < 1e-12
+
+
 def test_k_uniform_two_paths_agree(rng):
     for _ in range(20):
         n = int(rng.integers(2, 7))

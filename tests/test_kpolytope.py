@@ -1,12 +1,17 @@
 import collections
+import itertools
+import math
 
 import numpy as np
 import pytest
 
+from entmin import kpolytope
 from entmin.errors import CapacityError, ValidationError
 from entmin.gf2uniform import BitDistribution, is_k_uniform
 from entmin.hilbert import shannon_entropy
 from entmin.kpolytope import (
+    DEDUP_DECIMALS,
+    MAX_ACTIVE_SETS,
     TYPE3_ENTROPY,
     PolytopeSpec,
     QPoint53,
@@ -16,6 +21,47 @@ from entmin.kpolytope import (
     qpoint_to_distribution,
     verify_inf6_chain,
 )
+
+
+def reference_vertices(spec):
+    """The enumerator as first written: active sets are solved in batches,
+    but each solution is then tested for feasibility, rounded and looked up
+    in a set of keys one at a time.  Slow, kept only as a cross-check."""
+    a, b = spec.ineq_a, spec.ineq_b
+    dim = a.shape[1]
+    if spec.eq_a.size:
+        t0 = np.linalg.lstsq(spec.eq_a, spec.eq_b, rcond=None)[0]
+        nbasis = kpolytope._null_space(spec.eq_a)
+    else:
+        t0 = np.zeros(dim)
+        nbasis = np.eye(dim)
+    r = nbasis.shape[1]
+    a_red = a @ nbasis
+    b_red = b - a @ t0
+    found, seen = [], set()
+
+    def consider(u_vec):
+        if np.any(a_red @ u_vec > b_red + 1e-9):
+            return
+        t = t0 + nbasis @ u_vec
+        key = tuple(np.round(t, DEDUP_DECIMALS))
+        if key not in seen:
+            seen.add(key)
+            found.append(t)
+
+    if r == 0:
+        consider(np.zeros(0))
+    else:
+        combos = itertools.combinations(range(a.shape[0]), r)
+        while chunk := list(itertools.islice(combos, 20_000)):
+            idx = np.array(chunk)
+            mats = a_red[idx]
+            good = np.flatnonzero(np.abs(np.linalg.det(mats)) > 1e-9)
+            if good.size:
+                sols = np.linalg.solve(mats[good], b_red[idx[good]][..., None])[..., 0]
+                for u_vec in sols:
+                    consider(u_vec)
+    return [spec.coeffs_to_distribution(t) for t in found]
 
 
 def test_qpoint_validation():
@@ -67,6 +113,36 @@ def test_generic_enumeration_matches_closed_form_on_the_face():
     for c in closed:
         assert min(float(np.max(np.abs(c.p - g.p))) for g in generic) < 1e-9
     assert abs(min_entropy_over_polytope(face) - 4.0) < 1e-9
+
+
+@pytest.mark.parametrize("spec", [
+    PolytopeSpec(2, 1),
+    PolytopeSpec(3, 1),
+    PolytopeSpec(4, 2),
+    PolytopeSpec(5, 3, zero_faces=(0,)),
+], ids=["P21", "P31", "P42", "P53-face"])
+def test_bulk_enumeration_matches_per_candidate_reference(spec):
+    got = enumerate_vertices_generic(spec)
+    want = reference_vertices(spec)
+    assert len(got) == len(want) > 0
+    for g, w in zip(got, want):  # same vertices in the same order
+        assert np.max(np.abs(g.p - w.p)) <= 1e-15
+
+
+def test_active_set_budget_fires_before_the_walk(monkeypatch):
+    # P_6^4 has 7 free coordinates over 64 rows: C(64, 7) is about 6e8
+    # active sets, so the budget must stop the call before the walk starts
+    spec = PolytopeSpec(6, 4)
+    assert len(spec.free_ys) == 7
+    assert math.comb(64, 7) > MAX_ACTIVE_SETS
+
+    class NoItertools:
+        def __getattr__(self, name):
+            raise AssertionError(f"itertools.{name} used before the budget check")
+
+    monkeypatch.setattr(kpolytope, "itertools", NoItertools())
+    with pytest.raises(CapacityError, match="active sets"):
+        enumerate_vertices_generic(spec)
 
 
 def test_p21_has_exactly_the_two_parity_vertices():
