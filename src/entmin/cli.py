@@ -194,7 +194,7 @@ def cmd_entropy(args) -> int:
                 "3-uniform outcome polytope, entropy floor 4")
 
     rows = [(k, report[k]) for k in
-            ("s_upper", "s_lower", "lower_bound_witness",
+            ("s_upper", "s_lower", "lower_bound_witness", "s_lower_heuristic",
              "witness_basis_path", "converged", "restarts_agreeing", "seed")]
     _emit(report, manifest, args, csv_rows=rows, csv_header=("field", "value"))
 
@@ -221,7 +221,7 @@ def _print_suite_lines(report: dict) -> None:
 
 def cmd_verify(args) -> int:
     manifest = RunManifest("verify", {"suite": args.suite, "m": args.m},
-                           seed=args.seed)
+                           seed=None)
     kwargs = {}
     if args.suite == "graphs" and args.m is not None:
         kwargs["m"] = args.m
@@ -328,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--basis-out", default=None,
                     help="write the witness measurement basis here as JSON")
     ep.add_argument("--overlap-bound", action="store_true",
-                    help="add the heuristic product-overlap lower bound")
+                    help="also report the heuristic product-overlap lower "
+                         "bound, as s_lower_heuristic")
     ep.add_argument("--polytope-bound", action="store_true",
                     help="6-qubit states with maximally mixed 3-blocks: "
                          "apply the entropy-4 polytope floor")
@@ -339,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("suite", choices=tuple(verify.SUITES) + ("all",))
     vp.add_argument("--m", type=int, default=None,
                     help="restrict the graphs suite to one half-size")
-    vp.add_argument("--seed", type=int, default=None)
     vp.add_argument("--out", default=None, help="also write the JSON report here")
     vp.set_defaults(func=cmd_verify)
 

@@ -12,7 +12,8 @@ them.
 
 Upper bounds come from the search; rigorous lower bounds from subset von
 Neumann entropies.  The product-overlap bound is heuristic unless the found
-overlap is corroborated by an analytic value.
+overlap is corroborated by an analytic value, so it is reported in its own
+field and never raises the rigorous s_lower.
 """
 
 from __future__ import annotations
@@ -68,6 +69,10 @@ class OptResult:
     converged: bool
     restarts_agreeing: int
     seed: int
+    # -log2 of the best product overlap found, when requested.  The search
+    # can miss the true maximum overlap, which overstates the bound, so it
+    # never enters s_lower.
+    s_lower_heuristic: float | None = None
 
     def __post_init__(self):
         if self.s_lower > self.s_upper + 1e-9:
@@ -394,7 +399,9 @@ def minimize_entropy(psi: PureState, cfg: OptConfig = OptConfig(),
     The restarts run in lockstep, as many at once as fit in MAX_AMPLITUDES
     stacked amplitudes; each follows its own step size and convergence
     test, so the result is deterministic given cfg.seed and does not depend
-    on how the restarts are batched.
+    on how the restarts are batched.  s_lower is the best subset bound;
+    include_overlap_bound adds the product-overlap bound as
+    s_lower_heuristic.
     """
     starts = np.array([_initial_bases(psi, r, cfg.seed) for r in range(cfg.restarts)])
     t = psi.tensor()
@@ -410,18 +417,16 @@ def minimize_entropy(psi: PureState, cfg: OptConfig = OptConfig(),
 
     s_lower, subset = best_subset_lower_bound(psi)
     witness = f"subset {subset}" if subset else "none"
+    heuristic = None
     if include_overlap_bound:
         p = outcome_distribution(psi, basis)
         j = int(np.argmax(p))
         digits = np.unravel_index(j, (psi.d,) * psi.n)
         seed_vecs = [tuple(basis.u[i][:, digits[i]] for i in range(psi.n))]
         m_star = max_product_overlap(psi, cfg, extra_seeds=seed_vecs)
-        ov_bound = -math.log2(max(m_star, 1e-300))
-        if ov_bound > s_lower:
-            s_lower = ov_bound
-            witness = f"product-overlap (heuristic), overlap {m_star:.12g}"
+        heuristic = -math.log2(max(m_star, 1e-300))
     return OptResult(s_upper, basis, s_lower, witness,
-                     bool(converged[best]), agreeing, cfg.seed)
+                     bool(converged[best]), agreeing, cfg.seed, heuristic)
 
 
 def result_to_dict(res: OptResult) -> dict:
@@ -432,6 +437,7 @@ def result_to_dict(res: OptResult) -> dict:
         "s_upper": res.s_upper,
         "s_lower": res.s_lower,
         "lower_bound_witness": res.lower_bound_witness,
+        "s_lower_heuristic": res.s_lower_heuristic,
         "basis": basis,
         "converged": res.converged,
         "restarts_agreeing": res.restarts_agreeing,

@@ -3,9 +3,10 @@
 A distribution is k-uniform iff its parity transform vanishes on weights
 1..k, so P_n^k lives in the span of the weight > k coefficients, cut out by
 the 2^n half-spaces p(x) >= 0.  The Shannon entropy is concave, hence its
-minimum over a polytope sits at a vertex; vertices come from a brute-force
-active-set enumeration, plus a closed-form construction for the 5-bit
-3-uniform case restricted to the p(00000) = 0 face.
+minimum over a polytope sits at a vertex; vertices come from a
+double-description enumeration (Motzkin; Fukuda & Prodon 1996), plus a
+closed-form construction for the 5-bit 3-uniform case restricted to the
+p(00000) = 0 face.
 
 Coordinates for that face: q_i is the weight-4 coefficient omitting party i,
 q the weight-5 one.  On the face q = -1 - sum(q_i) and the remaining
@@ -16,13 +17,12 @@ by the plane sum(q_i) = -1.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, EntminError, ValidationError
 from .gf2uniform import (
     BitDistribution,
     _hamming_weights,
@@ -39,8 +39,12 @@ from .hilbert import shannon_entropy
 QPOINT_TOL = 1e-12
 DEDUP_DECIMALS = 9
 MAX_FREE_DIM = 8
-MAX_ACTIVE_SETS = 10_000_000
-ACTIVE_SET_CHUNK = 20_000
+# bound on the rays kept and on the (plus, minus) ray pairs tested in one
+# double-description step
+MAX_DD_PAIRS = 4_000_000
+# residual norm below which a row adds no rank; slack below which a ray is
+# on a row's hyperplane
+DD_TOL = 1e-9
 
 TYPE3_ENTROPY = 17.0 / 6.0 + math.log2(3.0)
 
@@ -182,16 +186,112 @@ def _null_space(mat: np.ndarray) -> np.ndarray:
     return vh[rank:].T
 
 
-def enumerate_vertices_generic(spec: PolytopeSpec) -> list:
-    """Brute-force vertex enumeration over active constraint sets.
+def _greedy_bases(mat: np.ndarray, allowed: np.ndarray) -> tuple:
+    """Per row of `allowed`, the first basis of mat's row space among its
+    allowed rows, taking each row in order when it raises the rank.
 
-    Face equalities are eliminated first (min-norm particular solution plus
-    an orthonormal null basis).  Then every D-subset of the inequality rows
-    is solved, in chunks of ACTIVE_SET_CHUNK: each chunk's nonsingular
-    systems are solved in one batch and its solutions tested against the
-    whole system in one product, keeping only the feasible ones.  Degenerate
-    vertices collapse in one 1e-9 dedup at the end, which keeps the first
-    occurrence of each, in active-set order.  Returns distributions.
+    For a linear matroid this greedy choice is the lexicographically first
+    independent subset of full size.  One Gram-Schmidt step per row of
+    mat, batched over the rows of `allowed`.  Returns (picks, counts):
+    picks[v, :counts[v]] are the chosen row indices in increasing order.
+    """
+    sets, dim = allowed.shape[0], mat.shape[1]
+    basis = np.zeros((sets, dim, dim))
+    picks = np.zeros((sets, dim), dtype=np.intp)
+    counts = np.zeros(sets, dtype=np.intp)
+    for j, row in enumerate(mat):
+        v = np.flatnonzero(allowed[:, j] & (counts < dim))
+        if v.size == 0:
+            continue
+        res = row - np.einsum("vk,vkd->vd", basis[v] @ row, basis[v])
+        norm = np.linalg.norm(res, axis=1)
+        grow = norm > DD_TOL
+        v = v[grow]
+        basis[v, counts[v]] = res[grow] / norm[grow, None]
+        picks[v, counts[v]] = j
+        counts[v] += 1
+    return picks, counts
+
+
+def _adjacent_pairs(zero_plus: np.ndarray, zero_minus: np.ndarray,
+                    zero_all: np.ndarray, need: int) -> tuple:
+    """(plus, minus) index pairs of adjacent extreme rays, by the
+    combinatorial test: the common zero set holds at least `need` rows and
+    no third ray's zero set contains it.  Zero sets are boolean rows;
+    counts come from float32 products, exact far beyond any row count."""
+    common = zero_plus.astype(np.float32) @ zero_minus.T.astype(np.float32)
+    ip, iq = np.nonzero(common >= need)
+    size = common[ip, iq]
+    # the containment test builds (pairs, rows) and (pairs, rays) arrays:
+    # chunk the pairs to keep those within the budget
+    step = max(1, MAX_DD_PAIRS // (zero_all.shape[0] + zero_all.shape[1]))
+    zero_all = zero_all.T.astype(np.float32)
+    keep = np.zeros(ip.size, dtype=bool)
+    for lo in range(0, ip.size, step):
+        sl = slice(lo, lo + step)
+        common_set = (zero_plus[ip[sl]] & zero_minus[iq[sl]]).astype(np.float32)
+        holders = np.sum(common_set @ zero_all == size[sl, None], axis=1)
+        keep[sl] = holders == 2  # the pair itself and no third ray
+    return ip[keep], iq[keep]
+
+
+def _extreme_rays(h: np.ndarray) -> tuple:
+    """Extreme rays of the pointed cone {x : h x <= 0}, with zero sets.
+    h must have full column rank, which makes the cone pointed.
+
+    Double description (Motzkin; Fukuda & Prodon, "Double description
+    method revisited", 1996).  The first dim independent rows of h give a
+    simplicial cone whose rays are the columns of -h_S^-1; every other row
+    is then added in order.  Rays with zero or negative slack on the new
+    row stay, and each adjacent pair of a positive and a negative ray is
+    combined into a ray on the new row's hyperplane.  Raises
+    CapacityError before a step whose rays or ray pairs exceed
+    MAX_DD_PAIRS.  Returns (rays as rows, boolean zero sets over h's rows).
+    """
+    rows, dim = h.shape
+    sel = _greedy_bases(h, np.ones((1, rows), dtype=bool))[0][0]
+    rays = -np.linalg.inv(h[sel]).T
+    rays /= np.max(np.abs(rays), axis=1, keepdims=True)
+    zero = np.zeros((dim, rows), dtype=bool)
+    zero[:, sel] = True
+    zero[np.arange(dim), sel] = False
+    for j in np.setdiff1d(np.arange(rows), sel):
+        slack = rays @ h[j]
+        plus = slack > DD_TOL
+        minus = slack < -DD_TOL
+        zero[~plus & ~minus, j] = True
+        if not plus.any():
+            continue
+        pairs = int(plus.sum()) * int(minus.sum())
+        if pairs > MAX_DD_PAIRS:
+            raise CapacityError(f"{pairs} ray pairs in one step exceeds {MAX_DD_PAIRS}")
+        ip, iq = _adjacent_pairs(zero[plus], zero[minus], zero, dim - 2)
+        ip, iq = np.flatnonzero(plus)[ip], np.flatnonzero(minus)[iq]
+        count = int(np.sum(~plus)) + ip.size
+        if count > MAX_DD_PAIRS:
+            raise CapacityError(f"{count} rays exceeds {MAX_DD_PAIRS}")
+        new = slack[ip, None] * rays[iq] - slack[iq, None] * rays[ip]
+        new /= np.max(np.abs(new), axis=1, keepdims=True)
+        new_zero = zero[ip] & zero[iq]
+        new_zero[:, j] = True
+        rays = np.concatenate([rays[~plus], new])
+        zero = np.concatenate([zero[~plus], new_zero])
+    return rays, zero
+
+
+def enumerate_vertices_generic(spec: PolytopeSpec) -> list:
+    """Vertex enumeration by double description.
+
+    Face equalities are eliminated first (min-norm particular solution t0
+    plus an orthonormal null basis), leaving {u : a_red u <= b_red}.  Its
+    homogenization {(u, s) : a_red u <= b_red s, s >= 0} is a pointed cone
+    (the polytope is bounded), and its extreme rays with s > 0 are the
+    vertices.  Each vertex is then re-solved from the lexicographically
+    first r-subset of its tight rows with |det| > 1e-9, in the order of
+    those subsets, tested against the whole system and deduplicated within
+    1e-9.  That is the solve, and the order, that a walk over every
+    r-subset of the rows keeping the first solution of each vertex would
+    give.  Returns distributions.
     """
     a = spec.ineq_a
     b = spec.ineq_b
@@ -203,36 +303,29 @@ def enumerate_vertices_generic(spec: PolytopeSpec) -> list:
         t0 = np.zeros(dim)
         nbasis = np.eye(dim)
     r = nbasis.shape[1]
-    rows = a.shape[0]
-    if r > 0 and math.comb(rows, r) > MAX_ACTIVE_SETS:
-        raise CapacityError(f"C({rows},{r}) active sets exceeds {MAX_ACTIVE_SETS}")
-
     a_red = a @ nbasis
     b_red = b - a @ t0
 
-    # filtering each chunk as it is solved keeps memory at one chunk, not
-    # every solved active set of the run
-    kept = []
     if r == 0:
-        kept.append(np.zeros((1, 0)))
+        sols = np.zeros((1, 0))
     else:
-        combos = itertools.combinations(range(rows), r)
-        while True:
-            flat = np.fromiter(
-                itertools.chain.from_iterable(itertools.islice(combos, ACTIVE_SET_CHUNK)),
-                dtype=np.intp)
-            if flat.size == 0:
-                break
-            idx = flat.reshape(-1, r)
-            mats = a_red[idx]                      # (B, r, r)
-            good = np.flatnonzero(np.abs(np.linalg.det(mats)) > 1e-9)
-            if good.size == 0:
-                continue
-            # trailing axis keeps the rhs a stack of vectors under numpy 2
-            sols = np.linalg.solve(mats[good], b_red[idx[good]][..., None])[..., 0]
-            feasible = np.all(sols @ a_red.T <= b_red + 1e-9, axis=1)
-            kept.append(sols[feasible])
-    t = t0 + np.concatenate(kept) @ nbasis.T
+        # row 0 is s >= 0; row 1 + x is a_red[x] u - b_red[x] s <= 0
+        h = np.zeros((1 + a_red.shape[0], r + 1))
+        h[0, r] = -1.0
+        h[1:, :r] = a_red
+        h[1:, r] = -b_red
+        rays, zero = _extreme_rays(h)
+        tight = zero[rays[:, r] > DD_TOL, 1:]
+        picks, counts = _greedy_bases(a_red, tight)
+        mats = a_red[picks]                    # (V, r, r)
+        if np.any(counts < r) or np.any(np.abs(np.linalg.det(mats)) <= 1e-9):
+            raise EntminError("a vertex's tight rows have no basis with |det| > 1e-9")
+        order = np.lexsort(picks.T[::-1])
+        picks, mats = picks[order], mats[order]
+        # trailing axis keeps the rhs a stack of vectors under numpy 2
+        sols = np.linalg.solve(mats, b_red[picks][..., None])[..., 0]
+        sols = sols[np.all(sols @ a_red.T <= b_red + 1e-9, axis=1)]
+    t = t0 + sols @ nbasis.T
     _, first = np.unique(np.round(t, DEDUP_DECIMALS), axis=0, return_index=True)
     return [spec.coeffs_to_distribution(row) for row in t[np.sort(first)]]
 

@@ -264,7 +264,8 @@ def graphs_suite(m: int | None = None) -> dict:
 
 
 def polytope_suite() -> dict:
-    """Eleven vertices by two independent routes; entropy floor 4."""
+    """Eleven face vertices by two independent routes; entropy floor 4; the
+    28 vertices of the whole of P_5^3 are translates of the face's."""
     t0 = time.perf_counter()
     checks = []
     verts = kpolytope.enumerate_vertices_p53()
@@ -272,7 +273,7 @@ def polytope_suite() -> dict:
 
     face = kpolytope.PolytopeSpec(5, 3, zero_faces=(0,))
     generic = kpolytope.enumerate_vertices_generic(face)
-    checks.append(_close("active-set oracle vertex count", len(generic), 11, 0))
+    checks.append(_close("double-description vertex count", len(generic), 11, 0))
 
     worst_match = 1.0
     if len(generic) == len(verts):
@@ -296,6 +297,17 @@ def polytope_suite() -> dict:
     checks.append(_close("min entropy over the face polytope",
                          min((shannon_entropy(g.p) for g in generic), default=math.inf),
                          4.0, 1e-9))
+
+    # every vertex of the whole polytope relabels outcomes x -> x ^ t of a
+    # closed-form face vertex
+    full = kpolytope.enumerate_vertices_generic(kpolytope.PolytopeSpec(5, 3))
+    checks.append(_close("full P5^3 double-description vertex count", len(full), 28, 0))
+    x = np.arange(32)
+    translates = {tuple(np.round(kpolytope.qpoint_to_distribution(v).p[x ^ t], 9))
+                  for v in verts for t in range(32)}
+    checks.append(_close("full P5^3 vertices that translate a closed-form face vertex",
+                         sum(tuple(np.round(g.p, 9)) in translates for g in full),
+                         28, 0))
     chain = kpolytope.verify_inf6_chain()
     checks.append(_flag("three-link chain passes", bool(chain["passed"])))
 

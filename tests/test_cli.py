@@ -71,6 +71,17 @@ def test_entropy_csv_format(tmp_path):
     assert abs(float(fields["s_upper"]) - 1.0) < 1e-9
 
 
+def test_entropy_overlap_bound_is_reported_apart(tmp_path, capsys):
+    state_file = tmp_path / "bell.json"
+    save_state(determinant_state(2), state_file)
+    assert run(["entropy", str(state_file), "--restarts", "3",
+                "--overlap-bound", "--out", "-"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["lower_bound_witness"].startswith("subset")
+    assert abs(rep["s_lower"] - 1.0) < 1e-9
+    assert abs(rep["s_lower_heuristic"] - 1.0) < 1e-6
+
+
 def test_entropy_embed_dim(tmp_path, capsys):
     state_file = tmp_path / "bell.json"
     save_state(determinant_state(2), state_file)
@@ -108,6 +119,15 @@ def test_verify_ghz_lines(capsys):
     assert "[FAIL]" not in out
 
 
+def test_verify_manifest_records_no_seed(tmp_path, capsys):
+    # no suite takes a seed from the command line: each fixes its own
+    out = tmp_path / "table1.json"
+    assert run(["verify", "gdet-table1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["manifest"]["seed"] is None
+    with pytest.raises(SystemExit):
+        run(["verify", "gdet-table1", "--seed", "3"])
+
+
 def test_verify_graphs_single_m(capsys):
     assert run(["verify", "graphs", "--m", "2"]) == 0
     assert "m=2" in capsys.readouterr().out
@@ -142,6 +162,17 @@ def test_polytope_vertex_csv(capsys):
     entropies = sorted(float(r[1]) for r in rows[1:])
     assert entropies[0] == 4.0
     assert abs(entropies[-1] - (17 / 6 + math.log2(3))) < 1e-9
+
+
+def test_polytope_full_vertex_csv(capsys):
+    assert run(["polytope", "--full"]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines()
+             if not l.startswith("#")]
+    rows = list(csv.reader(lines))
+    assert len(rows) == 29  # header + 28 vertices
+    entropies = [float(r[1]) for r in rows[1:]]
+    assert sum(h == 4.0 for h in entropies) == 12
+    assert sum(abs(h - (17 / 6 + math.log2(3))) < 1e-9 for h in entropies) == 16
 
 
 def test_polytope_chain_json(capsys):

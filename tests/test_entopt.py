@@ -179,15 +179,20 @@ def test_max_product_overlap_ghz():
     assert abs(got - 0.5) < 1e-9
 
 
-def test_overlap_bound_takes_over_when_stronger():
+def test_overlap_bound_goes_to_the_heuristic_field():
     psi = determinant_state(3)
-    res = minimize_entropy(psi, OptConfig(restarts=8, max_sweeps=80,
-                                          tol=1e-12, seed=43),
-                           include_overlap_bound=True)
-    # -log2(1/6) beats the log2(3) subset bound and meets s_upper
-    assert res.lower_bound_witness.startswith("product-overlap")
-    assert abs(res.s_lower - math.log2(6)) < 1e-6
-    assert res.s_lower <= res.s_upper + 1e-9
+    cfg = OptConfig(restarts=8, max_sweeps=80, tol=1e-12, seed=43)
+    res = minimize_entropy(psi, cfg, include_overlap_bound=True)
+    # -log2(1/6) beats the log2(3) subset bound and meets s_upper, but only
+    # the subset bound is rigorous: s_lower and its witness stay the subset's
+    assert res.lower_bound_witness.startswith("subset")
+    assert abs(res.s_lower - math.log2(3)) < 1e-9
+    assert abs(res.s_lower_heuristic - math.log2(6)) < 1e-6
+    assert res.s_lower_heuristic <= res.s_upper + 1e-9
+    plain = minimize_entropy(psi, cfg)
+    assert plain.s_lower_heuristic is None
+    assert (plain.s_lower, plain.lower_bound_witness) == (res.s_lower,
+                                                          res.lower_bound_witness)
 
 
 def test_additivity_of_tensor_products():
@@ -208,7 +213,9 @@ def test_result_dict_roundtrip(rng):
                                           tol=1e-10, seed=5))
     d = json.loads(result_to_json(res))
     assert set(d) == {"s_upper", "s_lower", "lower_bound_witness", "basis",
-                      "converged", "restarts_agreeing", "seed"}
+                      "converged", "restarts_agreeing", "seed",
+                      "s_lower_heuristic"}
+    assert d["s_lower_heuristic"] is None
     rebuilt = ProductBasis(2, 3, tuple(
         np.array([[complex(re, im) for re, im in row] for row in u])
         for u in d["basis"]))

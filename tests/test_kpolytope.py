@@ -1,6 +1,5 @@
 import collections
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from entmin.gf2uniform import BitDistribution, is_k_uniform
 from entmin.hilbert import shannon_entropy
 from entmin.kpolytope import (
     DEDUP_DECIMALS,
-    MAX_ACTIVE_SETS,
     TYPE3_ENTROPY,
     PolytopeSpec,
     QPoint53,
@@ -24,9 +22,10 @@ from entmin.kpolytope import (
 
 
 def reference_vertices(spec):
-    """The enumerator as first written: active sets are solved in batches,
-    but each solution is then tested for feasibility, rounded and looked up
-    in a set of keys one at a time.  Slow, kept only as a cross-check."""
+    """The enumerator as first written: every r-subset of the rows is
+    solved, in batches, and each solution is then tested for feasibility,
+    rounded and looked up in a set of keys one at a time.  Slow, kept only
+    as a cross-check of the double-description enumerator."""
     a, b = spec.ineq_a, spec.ineq_b
     dim = a.shape[1]
     if spec.eq_a.size:
@@ -119,8 +118,11 @@ def test_generic_enumeration_matches_closed_form_on_the_face():
     PolytopeSpec(2, 1),
     PolytopeSpec(3, 1),
     PolytopeSpec(4, 2),
+    PolytopeSpec(2, 2),
+    PolytopeSpec(3, 2),
+    PolytopeSpec(4, 3),
     PolytopeSpec(5, 3, zero_faces=(0,)),
-], ids=["P21", "P31", "P42", "P53-face"])
+], ids=["P21", "P31", "P42", "P22", "P32", "P43", "P53-face"])
 def test_bulk_enumeration_matches_per_candidate_reference(spec):
     got = enumerate_vertices_generic(spec)
     want = reference_vertices(spec)
@@ -129,20 +131,42 @@ def test_bulk_enumeration_matches_per_candidate_reference(spec):
         assert np.max(np.abs(g.p - w.p)) <= 1e-15
 
 
-def test_active_set_budget_fires_before_the_walk(monkeypatch):
-    # P_6^4 has 7 free coordinates over 64 rows: C(64, 7) is about 6e8
-    # active sets, so the budget must stop the call before the walk starts
+def test_dd_budget_fires_before_the_step_allocates(monkeypatch):
+    # P_4^2 outgrows 10 rays; P_5^3 peaks at 52 rays but tests 180 ray
+    # pairs in one step.  Each must stop before a pair test past the budget.
+    adjacent_pairs = kpolytope._adjacent_pairs
+
+    def guarded(zero_plus, zero_minus, zero_all, need):
+        assert len(zero_plus) * len(zero_minus) <= kpolytope.MAX_DD_PAIRS
+        return adjacent_pairs(zero_plus, zero_minus, zero_all, need)
+
+    monkeypatch.setattr(kpolytope, "_adjacent_pairs", guarded)
+    for spec, budget, what in ((PolytopeSpec(4, 2), 10, "rays exceeds"),
+                               (PolytopeSpec(5, 3), 100, "ray pairs")):
+        monkeypatch.setattr(kpolytope, "MAX_DD_PAIRS", budget)
+        with pytest.raises(CapacityError, match=what):
+            enumerate_vertices_generic(spec)
+
+
+def test_p64_vertices_are_4_uniform_and_closed_under_translation():
+    # C(64, 7), about 6e8 active sets, put P_6^4 out of reach of a walk over
+    # active sets; an independent halfspace intersection also finds 78
     spec = PolytopeSpec(6, 4)
     assert len(spec.free_ys) == 7
-    assert math.comb(64, 7) > MAX_ACTIVE_SETS
-
-    class NoItertools:
-        def __getattr__(self, name):
-            raise AssertionError(f"itertools.{name} used before the budget check")
-
-    monkeypatch.setattr(kpolytope, "itertools", NoItertools())
-    with pytest.raises(CapacityError, match="active sets"):
-        enumerate_vertices_generic(spec)
+    verts = enumerate_vertices_generic(spec)
+    assert len(verts) == 78
+    keys = set()
+    for v in verts:
+        assert v.p.min() >= -1e-12
+        assert abs(float(v.p.sum()) - 1.0) < 1e-12
+        assert is_k_uniform(v, 4, tol=1e-9)
+        # a vertex: its zero outcomes are tight rows of full rank
+        assert np.linalg.matrix_rank(spec.ineq_a[v.p < 1e-12]) == 7
+        keys.add(tuple(np.round(v.p, 9)))
+    assert len(keys) == 78
+    for p in keys:
+        for t in range(64):
+            assert tuple(np.array(p)[np.arange(64) ^ t]) in keys
 
 
 def test_p21_has_exactly_the_two_parity_vertices():
