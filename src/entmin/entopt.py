@@ -29,6 +29,7 @@ from .errors import EntminError, ValidationError
 from .hilbert import (
     ProductBasis,
     PureState,
+    _rotate_all,
     outcome_distribution,
     partial_trace,
     schmidt_decompose,
@@ -90,22 +91,6 @@ def _plogp_rows(p: np.ndarray) -> np.ndarray:
 
 def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real * z.real + z.imag * z.imag
-
-
-def _rotate_all(t: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """Amplitudes of t in the product bases of each start: k tensors.
-
-    ``ws`` is (k, n, d, d), each ws[:, i] the adjoint u^dag of party i+1's
-    basis.  The result is (k, d, ..., d), one rotated tensor per start, so
-    |result|^2 is each start's outcome distribution.  Each step contracts
-    the leading axis and moves it to the back, so the next party leads and
-    after n steps the axes are back in order.
-    """
-    k, n, d = ws.shape[:3]
-    cur = t.reshape(1, d, -1)
-    for axis in range(n):
-        cur = np.matmul(ws[:, axis], cur).transpose(0, 2, 1).reshape(k, d, -1)
-    return cur.reshape((k,) + (d,) * n)
 
 
 def entropy_for_bases(psi: PureState, b: ProductBasis) -> float:

@@ -4,7 +4,8 @@ matrix of a graph state, and the balanced-rank search for maximally uniform
 graphs.
 
 Bit strings use the same big-endian packing as flat state indices: party i
-of n sits at bit n - i, so party 1 is the most significant bit.
+of n sits at bit n - i (indexing.mask_of_parties), so party 1 is the most
+significant bit.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .hilbert import DensityMatrix, PureState
-from .indexing import check_capacity, parties_to_axes
+from .indexing import check_capacity, mask_of_parties, parties_to_axes
 from .states import GraphSpec
 
 DIST_TOL = 1e-10
@@ -136,20 +137,6 @@ def marginal_distribution(dist: BitDistribution, parties) -> BitDistribution:
     return BitDistribution(len(axes), marg)
 
 
-def is_k_uniform_via_marginals(dist: BitDistribution, k: int, tol: float = DIST_TOL) -> bool:
-    """Marginal form of the same test: every k-party marginal is uniform."""
-    if not 0 <= k <= dist.n:
-        raise ValidationError(f"k = {k} out of range for n = {dist.n}")
-    if k == 0:
-        return True
-    flat = 1.0 / (1 << k)
-    for parties in itertools.combinations(range(1, dist.n + 1), k):
-        marg = marginal_distribution(dist, parties)
-        if np.any(np.abs(marg.p - flat) > tol):
-            return False
-    return True
-
-
 def parity_constrained_uniform(n: int, checks) -> BitDistribution:
     """Uniform distribution on the strings with even parity on every check set.
 
@@ -160,10 +147,7 @@ def parity_constrained_uniform(n: int, checks) -> BitDistribution:
     idx = np.arange(1 << n)
     ok = np.ones(1 << n, dtype=bool)
     for parties in checks:
-        mask = 0
-        for axis in parties_to_axes(parties, n):
-            mask |= 1 << (n - 1 - axis)
-        ok &= _masked_parity(idx, mask) == 0
+        ok &= _masked_parity(idx, mask_of_parties(parties, n)) == 0
     count = int(ok.sum())
     if count == 0:
         raise ValidationError("parity checks are inconsistent")
@@ -196,28 +180,24 @@ class Gf2Matrix:
         return cls(arr.shape[0], arr.shape[1], arr)
 
 
-def gf2_rank(m) -> int:
-    """Rank over GF(2) by Gaussian elimination on a uint8 copy."""
-    bits = m.bits if isinstance(m, Gf2Matrix) else np.asarray(m, dtype=np.uint8)
-    a = np.array(bits, dtype=np.uint8) & 1
-    rows, cols = a.shape
+def _rank_int_rows(rows: list) -> int:
+    """GF(2) rank of rows packed as ints (destructive on the list)."""
     rank = 0
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if a[r, c]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        for r in np.flatnonzero(a[:, c]):
-            if r != rank:
-                a[r] ^= a[rank]
-        rank += 1
-        if rank == rows:
-            break
+    for row in rows:
+        cur = row
+        for piv in rows[:rank]:
+            cur = min(cur, cur ^ piv)
+        if cur:
+            rows[rank] = cur
+            rank += 1
     return rank
+
+
+def gf2_rank(m) -> int:
+    """Rank over GF(2) of a Gf2Matrix or a 0/1 array, rows packed as ints."""
+    bits = m.bits if isinstance(m, Gf2Matrix) else np.asarray(m, dtype=np.uint8)
+    packed = np.packbits(bits & 1, axis=1)
+    return _rank_int_rows([int.from_bytes(row.tobytes(), "big") for row in packed])
 
 
 def bipartition_blocks(g: GraphSpec, w) -> tuple:
@@ -235,6 +215,48 @@ def bipartition_blocks(g: GraphSpec, w) -> tuple:
     return Gf2Matrix.from_array(a_ww), Gf2Matrix.from_array(a_bw)
 
 
+_CUT_CHUNK = 4096
+
+
+def _balanced_cuts(v: int):
+    """Balanced cuts of v vertices with vertex 1 white, in chunks.
+
+    Yields (whites, blacks) axis arrays of shape (cuts, v // 2), ascending
+    within each row, in combinations order.  Chunks keep memory bounded at
+    large v, where the cut count grows as C(v - 1, v/2 - 1), and let a
+    failing graph stop after its first chunk.  Blocks are packed into
+    int64 rows of v // 2 bits, hence the cap.
+    """
+    m = v // 2
+    if m > 62:
+        raise CapacityError(f"balanced cuts of {v} vertices are out of reach")
+    rests = itertools.combinations(range(1, v), m - 1)
+    while chunk := [(0,) + rest for rest in itertools.islice(rests, _CUT_CHUNK)]:
+        whites = np.array(chunk, dtype=np.intp)
+        black = np.ones((len(chunk), v), dtype=bool)
+        black[np.arange(len(chunk))[:, None], whites] = False
+        yield whites, np.nonzero(black)[1].reshape(len(chunk), m)
+
+
+def _balanced_cuts_full_rank(adj: np.ndarray, cuts) -> bool:
+    """True when every balanced cut block A_bw has full rank over GF(2).
+
+    ``cuts`` yields (whites, blacks) chunks as from _balanced_cuts.  A graph
+    with an isolated vertex fails without a rank: its block has a zero row
+    or, with the vertex pinned white, a zero column.  Ranks stop at the
+    first deficient block.
+    """
+    if np.any(adj.sum(axis=0) == 0):
+        return False
+    m = len(adj) // 2
+    weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
+    for whites, blacks in cuts:
+        packed = adj[blacks[:, :, None], whites[:, None, :]] @ weights
+        if any(_rank_int_rows(rows) != m for rows in packed.tolist()):
+            return False
+    return True
+
+
 def is_maximally_uniform_graph(g: GraphSpec) -> bool:
     """True when every balanced bipartition block is nondegenerate over GF(2).
 
@@ -243,25 +265,7 @@ def is_maximally_uniform_graph(g: GraphSpec) -> bool:
     """
     if g.v % 2 != 0:
         raise ValidationError(f"vertex count {g.v} is odd")
-    m = g.v // 2
-    for rest in itertools.combinations(range(2, g.v + 1), m - 1):
-        _, a_bw = bipartition_blocks(g, (1,) + rest)
-        if gf2_rank(a_bw) != m:
-            return False
-    return True
-
-
-def _rank_int_rows(rows: list) -> int:
-    """GF(2) rank of rows packed as ints (destructive on the list)."""
-    rank = 0
-    for row in rows:
-        cur = row
-        for piv in rows[:rank]:
-            cur = min(cur, cur ^ piv)
-        if cur:
-            rows[rank] = cur
-            rank += 1
-    return rank
+    return _balanced_cuts_full_rank(g.adj, _balanced_cuts(g.v))
 
 
 def search_maximally_uniform(m: int, mode: str = "exhaustive", budget: int = 100_000,
@@ -278,30 +282,21 @@ def search_maximally_uniform(m: int, mode: str = "exhaustive", budget: int = 100
         raise ValidationError(f"need m >= 1, got {m}")
     v = 2 * m
     pairs = list(itertools.combinations(range(v), 2))
-    whites = [(0,) + rest for rest in itertools.combinations(range(1, v), m - 1)]
-    blacks = [tuple(sorted(set(range(v)) - set(wset))) for wset in whites]
-
-    def adj_is_hit(adj: np.ndarray) -> bool:
-        if np.any(adj.sum(axis=0) == 0):
-            return False  # isolated vertex: zero row in its bipartition block
-        for wset, bset in zip(whites, blacks):
-            rows = [int("".join(str(adj[i, j]) for j in wset), 2) for i in bset]
-            if _rank_int_rows(rows) != m:
-                return False
-        return True
 
     hits = []
     if mode == "exhaustive":
         if v > 8:
             raise CapacityError(f"exhaustive search over 2^{len(pairs)} graphs is out of reach")
+        cuts = list(_balanced_cuts(v))
         for mask in range(1 << len(pairs)):
             adj = np.zeros((v, v), dtype=np.uint8)
             for bit, (i, j) in enumerate(pairs):
                 if (mask >> bit) & 1:
                     adj[i, j] = adj[j, i] = 1
-            if adj_is_hit(adj):
+            if _balanced_cuts_full_rank(adj, cuts):
                 hits.append(GraphSpec(v, adj))
     elif mode == "random":
+        cuts = list(_balanced_cuts(v))
         rng = np.random.default_rng(seed)
         seen = set()
         for _ in range(budget):
@@ -313,7 +308,7 @@ def search_maximally_uniform(m: int, mode: str = "exhaustive", budget: int = 100
             if key in seen:
                 continue
             seen.add(key)
-            if adj_is_hit(adj):
+            if _balanced_cuts_full_rank(adj, cuts):
                 hits.append(GraphSpec(v, adj))
     else:
         raise ValidationError(f"unknown mode {mode!r}")
@@ -369,17 +364,9 @@ class PauliString:
         if psi.d != 2 or psi.n != self.n:
             raise ValidationError("state shape does not match the operator")
         n = self.n
-        xmask = 0
-        zymask = 0
-        n_y = 0
-        for party, f in enumerate(self.factors, start=1):
-            bit = 1 << (n - party)
-            if f in ("X", "Y"):
-                xmask |= bit
-            if f in ("Z", "Y"):
-                zymask |= bit
-            if f == "Y":
-                n_y += 1
+        xmask = mask_of_parties([i for i, f in enumerate(self.factors, 1) if f in "XY"], n)
+        zymask = mask_of_parties([i for i, f in enumerate(self.factors, 1) if f in "ZY"], n)
+        n_y = self.factors.count("Y")
         idx = np.arange(1 << n)
         signs = np.where(_masked_parity(idx, zymask), -1.0, 1.0)
         coef = self.sign * (1j) ** (n_y % 4)
@@ -409,15 +396,16 @@ def min_stabilizer_weight(g: GraphSpec) -> int:
     """
     if g.v > 24:
         raise CapacityError(f"2^{g.v} stabilizer elements is out of reach")
-    # vertex with matrix row r sits at mask bit v - 1 - r, like state bits
-    rows = [int("".join(str(b) for b in g.adj[i]), 2) for i in range(g.v)]
+    # each vertex's own bit in the X-part, mapped to its Z row: the sum
+    # (here the OR) of its neighbours' bits
+    bits = np.array([mask_of_parties((i,), g.v) for i in range(1, g.v + 1)])
+    rows = dict(zip(bits.tolist(), (g.adj @ bits).tolist()))
     best = g.v + 1
     zpart = 0
     prev_gray = 0
     for s in range(1, 1 << g.v):
         gray = s ^ (s >> 1)
-        flipped = gray ^ prev_gray  # exactly one bit
-        zpart ^= rows[g.v - flipped.bit_length()]
+        zpart ^= rows[gray ^ prev_gray]  # exactly one bit flips
         prev_gray = gray
         w = (gray | zpart).bit_count()
         if w < best:
@@ -436,8 +424,8 @@ def graph_reduced_density(g: GraphSpec, w) -> DensityMatrix:
     path through the state vector.
     """
     keep_axes = parties_to_axes(w, g.v)
-    if len(keep_axes) >= g.v:
-        raise ValidationError("subset must leave at least one vertex out")
+    if not 0 < len(keep_axes) < g.v:
+        raise ValidationError("kept subset must be a nonempty proper subset of the vertices")
     # peak memory grows as 4^k: measured 57 MB at k = 10, so about 0.9 GB
     # at k = 12 and 3.6 GB at k = 13
     if len(keep_axes) > 12:
@@ -445,7 +433,8 @@ def graph_reduced_density(g: GraphSpec, w) -> DensityMatrix:
     k = len(keep_axes)
     size = 1 << k
     x = np.arange(size)
-    bits = np.stack([((x >> (k - 1 - t)) & 1) for t in range(k)], axis=1).astype(np.uint8)
+    party_bits = [mask_of_parties((t,), k) for t in range(1, k + 1)]
+    bits = ((x[:, None] & party_bits) != 0).astype(np.uint8)
 
     a_ww = np.zeros(size, dtype=np.uint8)
     for s in range(k):

@@ -155,6 +155,22 @@ def tensor_product(a: PureState, b: PureState) -> PureState:
     return PureState(a.n + b.n, a.d, np.kron(a.amp, b.amp))
 
 
+def _rotate_all(t: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """Amplitudes of t in k product bases at once: the one local-unitary kernel.
+
+    ``ws`` is (k, n, d, d); ws[:, i] acts on party i+1's axis, so passing
+    the adjoints u^dag of a basis gives its outcome amplitudes.  The result
+    is (k, d, ..., d), one rotated tensor per basis.  Each step contracts
+    the leading axis and moves it to the back, so the next party leads and
+    after n steps the axes are back in order.
+    """
+    k, n, d = ws.shape[:3]
+    cur = t.reshape(1, d, -1)
+    for axis in range(n):
+        cur = np.matmul(ws[:, axis], cur).transpose(0, 2, 1).reshape(k, d, -1)
+    return cur.reshape((k,) + (d,) * n)
+
+
 def outcome_distribution(psi: PureState, b: ProductBasis) -> np.ndarray:
     """Joint outcome probabilities of measuring every party in its basis.
 
@@ -165,11 +181,8 @@ def outcome_distribution(psi: PureState, b: ProductBasis) -> np.ndarray:
         raise ValidationError(
             f"state ({psi.n}, {psi.d}) and basis ({b.n}, {b.d}) dimensions differ"
         )
-    t = psi.tensor()
-    for axis in range(psi.n):
-        # Contract axis with u^dagger: new index runs over basis vectors.
-        t = np.moveaxis(np.tensordot(b.u[axis].conj().T, t, axes=([1], [axis])), 0, axis)
-    p = np.abs(t.reshape(-1)) ** 2
+    ws = np.array([u.conj().T for u in b.u])[None]
+    p = np.abs(_rotate_all(psi.tensor(), ws).reshape(-1)) ** 2
     s = float(np.sum(p))
     if abs(s - 1.0) > 1e-10:
         raise ValidationError(f"outcome probabilities sum to {s!r}")

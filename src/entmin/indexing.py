@@ -9,7 +9,9 @@ j_i in [0, d), maps to the flat index
 so party 1 is the most significant digit (big-endian, C order).  For d = 2
 this means party i owns bit position n - i of the flat index, counting from
 the least significant bit.  Party labels are 1-based in every public API;
-this module is the only place the label/axis arithmetic lives.
+this module is the only place the label/axis and label/bit arithmetic
+lives: :func:`parties_to_axes` for tensor axes and :func:`mask_of_parties`
+for bit masks.
 """
 
 from __future__ import annotations
@@ -44,42 +46,23 @@ def flat_from_digits(digits, d: int) -> int:
     return j
 
 
-def digits_from_flat(j: int, n: int, d: int) -> tuple[int, ...]:
-    """Multi-index (j_1, ..., j_n) of a flat index, party 1 first."""
-    if not 0 <= j < d**n:
-        raise ValidationError(f"flat index {j} out of range for {n} parties of dim {d}")
-    out = []
-    for _ in range(n):
-        out.append(j % d)
-        j //= d
-    return tuple(reversed(out))
-
-
-def axis_of_party(party: int, n: int) -> int:
-    """Tensor axis (0-based) of a 1-based party label."""
-    if not 1 <= party <= n:
-        raise ValidationError(f"party label {party} out of range [1, {n}]")
-    return party - 1
-
-
 def parties_to_axes(parties, n: int) -> tuple[int, ...]:
     """Sorted 0-based axes for a collection of 1-based party labels."""
-    labels = sorted(set(int(p) for p in parties))
+    given = [int(p) for p in parties]
+    labels = sorted(set(given))
     if labels and not (1 <= labels[0] and labels[-1] <= n):
         raise ValidationError(f"party labels {labels} out of range [1, {n}]")
-    if len(labels) != len(list(parties)):
+    if len(labels) != len(given):
         raise ValidationError("duplicate party labels")
     return tuple(p - 1 for p in labels)
 
 
-def bit_of_party(party: int, n: int) -> int:
-    """Bit position (from LSB) that a 1-based party occupies when d = 2."""
-    return n - axis_of_party(party, n) - 1
-
-
 def mask_of_parties(parties, n: int) -> int:
-    """Bitmask over flat-index bits covering the given 1-based parties (d = 2)."""
+    """Bitmask over flat-index bits covering the given 1-based parties (d = 2).
+
+    Party i sits at bit n - i; labels are validated as by parties_to_axes.
+    """
     mask = 0
-    for p in set(parties):
-        mask |= 1 << bit_of_party(p, n)
+    for axis in parties_to_axes(parties, n):
+        mask |= 1 << (n - 1 - axis)
     return mask

@@ -35,6 +35,7 @@ from .gf2uniform import (
     walsh_transform,
 )
 from .hilbert import shannon_entropy
+from .indexing import mask_of_parties
 
 QPOINT_TOL = 1e-12
 DEDUP_DECIMALS = 9
@@ -75,7 +76,7 @@ def _qpoint_probabilities(pt: QPoint53) -> np.ndarray:
     wt = _hamming_weights(32, 5)
     bracket = np.full(32, pt.q, dtype=np.float64)
     for i in range(1, 6):
-        xi = (x >> (5 - i)) & 1  # party i at bit 5 - i
+        xi = x & mask_of_parties((i,), 5)
         bracket += pt.qi[i - 1] * np.where(xi, -1.0, 1.0)
     return (1.0 + np.where(wt % 2, -1.0, 1.0) * bracket) / 32.0
 

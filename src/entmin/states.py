@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .hilbert import PureState
-from .indexing import check_capacity, flat_from_digits
+from .indexing import check_capacity, flat_from_digits, mask_of_parties
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,14 +84,7 @@ class CodeMap:
     @classmethod
     def lexicographic(cls, d: int, p: int) -> "CodeMap":
         """k -> digits of k-1 in base d, p digits, most significant first."""
-        words = []
-        for k in range(d**p):
-            digits = []
-            for _ in range(p):
-                digits.append(k % d)
-                k //= d
-            words.append(tuple(reversed(digits)))
-        return cls(p, d, tuple(words))
+        return cls(p, d, tuple(itertools.product(range(d), repeat=p)))
 
     def word(self, k: int) -> tuple:
         """Digit string for an integer k in [1, d**p]."""
@@ -125,20 +118,25 @@ def determinant_state(n: int) -> PureState:
 
     Amplitude on the multi-index (i_1, ..., i_n) is sign of the permutation
     over sqrt(n!) when the indices are a permutation of all n levels, zero
-    otherwise.
+    otherwise.  This is generalized_determinant(n, 1).
     """
     if n < 2 or n > 7:
         raise CapacityError(f"supported range is 2 <= n <= 7, got {n}")
-    amp = np.zeros(n**n, dtype=np.complex128)
-    norm = 1.0 / math.sqrt(math.factorial(n))
-    for perm in itertools.permutations(range(n)):
-        amp[flat_from_digits(perm, n)] = _permutation_sign(perm) * norm
-    return PureState(n, n, amp)
+    return generalized_determinant(n, 1)
 
 
 def log2_factorial(m: int) -> float:
     """log2(m!) by direct summation; exact in double precision at this scale."""
     return float(sum(math.log2(k) for k in range(2, m + 1)))
+
+
+def _level_digits(d: int, p: int, code: CodeMap | None) -> list:
+    """Each level's p-digit code word as one base-d**p digit of a flat index."""
+    if code is None:
+        code = CodeMap.lexicographic(d, p)
+    elif (code.d, code.p) != (d, p):
+        raise ValidationError("code map dimensions do not match (d, p)")
+    return [flat_from_digits(code.word(k), d) for k in range(1, d**p + 1)]
 
 
 def generalized_determinant(d: int, p: int, code: CodeMap | None = None) -> PureState:
@@ -153,16 +151,13 @@ def generalized_determinant(d: int, p: int, code: CodeMap | None = None) -> Pure
         raise ValidationError(f"need d >= 2 and p >= 1, got ({d}, {p})")
     n = p * d**p
     check_capacity(n, d)
-    if code is None:
-        code = CodeMap.lexicographic(d, p)
-    elif (code.d, code.p) != (d, p):
-        raise ValidationError("code map dimensions do not match (d, p)")
-    levels = d**p
+    digits = _level_digits(d, p, code)
     amp = np.zeros(d**n, dtype=np.complex128)
-    norm = 1.0 / math.sqrt(math.factorial(levels))
-    for perm in itertools.permutations(range(1, levels + 1)):
-        digits = [x for k in perm for x in code.word(k)]
-        amp[flat_from_digits(digits, d)] = _permutation_sign(perm) * norm
+    # a permutation of the levels has the sign of its digit sequence times
+    # the sign of the code's own digit order
+    norm = _permutation_sign(digits) / math.sqrt(math.factorial(d**p))
+    for spelled in itertools.permutations(digits):
+        amp[flat_from_digits(spelled, d**p)] = _permutation_sign(spelled) * norm
     return PureState(n, d, amp)
 
 
@@ -178,12 +173,8 @@ def generalized_determinant_support(d: int, p: int, code: CodeMap | None = None)
     levels = d**p
     if math.factorial(levels) > 1_000_000:
         raise CapacityError(f"({d}**{p})! outcomes is beyond enumeration capacity")
-    if code is None:
-        code = CodeMap.lexicographic(d, p)
-    idx = []
-    for perm in itertools.permutations(range(1, levels + 1)):
-        digits = [x for k in perm for x in code.word(k)]
-        idx.append(flat_from_digits(digits, d))
+    idx = [flat_from_digits(spelled, levels)
+           for spelled in itertools.permutations(_level_digits(d, p, code))]
     return np.array(sorted(idx), dtype=np.int64), 1.0 / math.factorial(levels)
 
 
@@ -193,10 +184,9 @@ def graph_state(g: GraphSpec) -> PureState:
     size = 1 << g.v
     x = np.arange(size)
     phase = np.zeros(size, dtype=np.uint8)
-    for i, j in g.edges():
-        bi = (x >> (g.v - i)) & 1   # party i sits at bit v - i
-        bj = (x >> (g.v - j)) & 1
-        phase ^= (bi & bj).astype(np.uint8)
+    for edge in g.edges():
+        both = mask_of_parties(edge, g.v)
+        phase ^= (x & both) == both
     amp = np.where(phase, -1.0, 1.0) / math.sqrt(size)
     return PureState(g.v, 2, amp.astype(np.complex128))
 

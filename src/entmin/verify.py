@@ -19,6 +19,7 @@ from . import entopt, gf2uniform, kpolytope, states
 from .entopt import OptConfig
 from .hilbert import (
     ProductBasis,
+    _rotate_all,
     identity_basis,
     outcome_distribution,
     partial_trace,
@@ -121,13 +122,6 @@ def _su_random(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.exp(-1j * np.angle(det) / d)
 
 
-def _apply_everywhere(psi, v: np.ndarray) -> np.ndarray:
-    t = psi.tensor()
-    for axis in range(psi.n):
-        t = np.moveaxis(np.tensordot(v, t, axes=([1], [axis])), 0, axis)
-    return t.reshape(-1)
-
-
 def det_suite() -> dict:
     """Antisymmetric states: entropy log2(n!), overlap 1/n!, singlet invariance."""
     t0 = time.perf_counter()
@@ -149,7 +143,8 @@ def det_suite() -> dict:
         dev = 0.0
         for k in range(3):
             v = _su_random(n, np.random.default_rng([7, n, k]))
-            dev = max(dev, float(np.linalg.norm(_apply_everywhere(psi, v) - psi.amp)))
+            moved = _rotate_all(psi.tensor(), np.broadcast_to(v, (1, n, n, n)))
+            dev = max(dev, float(np.linalg.norm(moved.reshape(-1) - psi.amp)))
         checks.append(_below(f"n={n} max |V^(x{n}) psi - psi| over 3 special unitaries",
                              dev, 1e-9))
     report = _wrap("det", checks, t0)

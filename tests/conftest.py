@@ -34,6 +34,16 @@ def fourier_oracle(p):
     return q
 
 
+def k_uniform_oracle(p, n, k, tol=1e-10):
+    """Every k-party marginal of a distribution on n bits is uniform."""
+    t = np.asarray(p).reshape((2,) * n)
+    for keep in itertools.combinations(range(n), k):
+        drop = tuple(a for a in range(n) if a not in keep)
+        if np.any(np.abs(t.sum(axis=drop) - 1.0 / 2**k) > tol):
+            return False
+    return True
+
+
 def gf2_rank_oracle(rows):
     """Row-reduction rank over GF(2) on a list of 0/1 lists."""
     rows = [list(r) for r in rows]

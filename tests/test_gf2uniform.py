@@ -16,7 +16,6 @@ from entmin.gf2uniform import (
     graph_reduced_density,
     inverse_fourier,
     is_k_uniform,
-    is_k_uniform_via_marginals,
     is_maximally_uniform_graph,
     marginal_distribution,
     min_stabilizer_weight,
@@ -28,7 +27,7 @@ from entmin.gf2uniform import (
 from entmin.hilbert import partial_trace
 from entmin.states import GraphSpec, graph_state, hexacode_graph
 
-from conftest import fourier_oracle, gf2_rank_oracle, pauli_dense
+from conftest import fourier_oracle, gf2_rank_oracle, k_uniform_oracle, pauli_dense
 
 
 def random_dist(n, rng):
@@ -90,7 +89,7 @@ def test_k_uniform_two_paths_agree(rng):
         p = lam * random_dist(n, rng).p + (1 - lam) / 2**n
         dist = BitDistribution(n, p)
         for k in range(1, n):
-            assert is_k_uniform(dist, k) == is_k_uniform_via_marginals(dist, k)
+            assert is_k_uniform(dist, k) == k_uniform_oracle(dist.p, n, k)
 
 
 def test_parity_constrained_uniform():
@@ -181,6 +180,15 @@ def test_search_m1_and_m2():
     assert search_maximally_uniform(2) == []
 
 
+def test_search_m3_exhaustive_hits():
+    hits = search_maximally_uniform(3)
+    assert len(hits) == 132
+    assert all(is_maximally_uniform_graph(g) for g in hits)
+    assert all(quantum_maximally_uniform(g) for g in hits)
+    prism = hexacode_graph()
+    assert any(np.array_equal(g.adj, prism.adj) for g in hits)
+
+
 def test_search_random_mode_is_seeded():
     a = search_maximally_uniform(3, mode="random", budget=3000, seed=5)
     b = search_maximally_uniform(3, mode="random", budget=3000, seed=5)
@@ -193,6 +201,12 @@ def test_search_capacity_cap():
         search_maximally_uniform(5)
     with pytest.raises(ValidationError):
         search_maximally_uniform(3, mode="sideways")
+    # cut blocks are packed into int64 rows, so 63 white vertices is too many
+    matching = GraphSpec.from_edges(126, [(2 * i + 1, 2 * i + 2) for i in range(63)])
+    with pytest.raises(CapacityError):
+        is_maximally_uniform_graph(matching)
+    with pytest.raises(CapacityError):
+        search_maximally_uniform(63, mode="random", budget=1)
 
 
 def test_pauli_apply_matches_dense_oracle(rng):
@@ -270,6 +284,8 @@ def test_graph_reduced_density_requires_proper_subset():
     g = hexacode_graph()
     with pytest.raises(ValidationError):
         graph_reduced_density(g, (1, 2, 3, 4, 5, 6))
+    with pytest.raises(ValidationError):
+        graph_reduced_density(g, ())
 
 
 def test_graph_reduced_density_caps_kept_block_before_allocating(monkeypatch):
