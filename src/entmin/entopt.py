@@ -27,8 +27,11 @@ import numpy as np
 
 from .errors import EntminError, ValidationError
 from .hilbert import (
+    HERM_TOL,
     ProductBasis,
     PureState,
+    _clamped_spectrum,
+    _entropy_bits,
     _rotate_all,
     outcome_distribution,
     partial_trace,
@@ -39,6 +42,9 @@ from .hilbert import (
 from .indexing import MAX_AMPLITUDES
 
 AGREE_TOL = 1e-6
+# stacked amplitudes per batched Gram product and eigvalsh in the subset
+# scan; each subset's reshaped amplitude matrix holds d**n of them
+SUBSET_STACK_AMPLITUDES = 1 << 16
 _SIGNS = np.array([1.0, -1.0])[:, None, None]
 # rows of cand_h holding (h_a, h_b) for candidates +step, -step, vertex
 _CAND_ROWS = np.array(((0, 2), (1, 3), (4, 5)))
@@ -293,21 +299,58 @@ def subset_lower_bound(psi: PureState, x) -> float:
     return von_neumann_entropy(rho)
 
 
+def _subset_entropies(t: np.ndarray, subsets: list) -> list:
+    """Von Neumann entropies of the reduced states on equal-size subsets
+    (0-based axes of the state tensor t), from one batched Gram product
+    and one batched eigvalsh.
+
+    The stack gets the checks a DensityMatrix makes (Hermitian and unit
+    trace within HERM_TOL) and von_neumann_entropy's eigenvalue floor.
+    """
+    n, d = t.ndim, t.shape[0]
+    rows = d ** len(subsets[0])
+    m = np.empty((len(subsets), rows, t.size // rows), dtype=t.dtype)
+    for mat, x in zip(m, subsets):
+        mat.reshape(t.shape)[...] = t.transpose(x + tuple(a for a in range(n) if a not in x))
+    rho = m @ m.conj().transpose(0, 2, 1)
+    if np.max(np.abs(rho - rho.conj().transpose(0, 2, 1))) > HERM_TOL:
+        raise ValidationError("reduced state is not Hermitian within 1e-12")
+    tr = np.trace(rho, axis1=1, axis2=2)
+    if np.max(np.abs(tr - 1.0)) > HERM_TOL:
+        raise ValidationError(f"reduced state traces range over {tr.min()!r}..{tr.max()!r}")
+    return [_entropy_bits(lam) for lam in _clamped_spectrum(np.linalg.eigvalsh(rho))]
+
+
 def best_subset_lower_bound(psi: PureState):
     """Maximize the subset bound over subsets of size <= floor(n/2).
 
-    Complementary subsets share a spectrum, so half sizes suffice.  Returns
+    Complementary subsets share a spectrum, so half sizes suffice, and at
+    size n/2 only the subsets holding party 1 are scanned: each one's
+    complement comes later in the scan order, so under the 1e-12 rule it
+    could not win.  A state with real amplitudes (graph states, det(n),
+    the hexacode state) is scanned in real arithmetic.  Each size's
+    subsets are stacked in chunks of at most SUBSET_STACK_AMPLITUDES
+    amplitudes, each chunk one Gram product and one eigvalsh.  Returns
     (value, witness subset); the first maximizer in size-then-lexicographic
     order wins.
     """
+    n = psi.n
+    amp = psi.amp.real if not psi.amp.imag.any() else psi.amp
+    t = amp.reshape((psi.d,) * n)
+    per_chunk = max(1, SUBSET_STACK_AMPLITUDES // psi.dim)
     best = 0.0
     witness = ()
-    for size in range(1, psi.n // 2 + 1):
-        for x in itertools.combinations(range(1, psi.n + 1), size):
-            val = subset_lower_bound(psi, x)
-            if val > best + 1e-12:
-                best = val
-                witness = x
+    for size in range(1, n // 2 + 1):
+        if 2 * size == n:
+            subsets = ((0,) + rest
+                       for rest in itertools.combinations(range(1, n), size - 1))
+        else:
+            subsets = itertools.combinations(range(n), size)
+        while chunk := list(itertools.islice(subsets, per_chunk)):
+            for x, val in zip(chunk, _subset_entropies(t, chunk)):
+                if val > best + 1e-12:
+                    best = val
+                    witness = tuple(a + 1 for a in x)
     return best, witness
 
 

@@ -386,30 +386,42 @@ def stabilizer_generators(g: GraphSpec) -> tuple:
     return tuple(gens)
 
 
+def _xor_table(rows: np.ndarray) -> np.ndarray:
+    """XOR of every subset of rows: entry s is the XOR of rows[b] over the
+    set bits b of s."""
+    table = np.zeros(1, dtype=np.int64)
+    for row in rows.tolist():
+        table = np.concatenate((table, table ^ row))
+    return table
+
+
 def min_stabilizer_weight(g: GraphSpec) -> int:
     """Smallest support among the 2^v - 1 nonidentity stabilizer elements.
 
     The product over a generator subset S has X-part S and Z-part the XOR
     of the adjacency rows of S, so the support mask is their union; signs
-    do not move the support.  Subsets are walked in Gray-code order to
-    update the Z-part one row at a time.
+    do not move the support.  The Z-part is linear in S, so with S split
+    into its low 12 bits and the rest it is zlo[lo] ^ zhi[hi] from two XOR
+    tables; each high part is one numpy step over the 4,096 low parts,
+    and weights are read from a 12-bit popcount table.
     """
     if g.v > 24:
         raise CapacityError(f"2^{g.v} stabilizer elements is out of reach")
-    # each vertex's own bit in the X-part, mapped to its Z row: the sum
-    # (here the OR) of its neighbours' bits
+    lo = min(g.v, 12)
+    # Z row of the generator at X bit b (vertex v - b): the OR of its
+    # neighbours' bits
     bits = np.array([mask_of_parties((i,), g.v) for i in range(1, g.v + 1)])
-    rows = dict(zip(bits.tolist(), (g.adj @ bits).tolist()))
-    best = g.v + 1
-    zpart = 0
-    prev_gray = 0
-    for s in range(1, 1 << g.v):
-        gray = s ^ (s >> 1)
-        zpart ^= rows[gray ^ prev_gray]  # exactly one bit flips
-        prev_gray = gray
-        w = (gray | zpart).bit_count()
-        if w < best:
-            best = w
+    zrows = (g.adj @ bits)[::-1]
+    zlo = _xor_table(zrows[:lo])
+    xlo = np.arange(1 << lo)
+    popcount = _hamming_weights(1 << 12, 12)
+    best = g.v
+    for hi, zhi in enumerate(_xor_table(zrows[lo:]).tolist()):
+        support = (xlo | (hi << lo)) | (zlo ^ zhi)
+        w = popcount[support & 0xFFF] + popcount[support >> 12]
+        if hi == 0:
+            w[0] = g.v  # the identity
+        best = min(best, int(w.min()))
     return best
 
 

@@ -224,17 +224,23 @@ def partial_trace(psi: PureState, keep) -> DensityMatrix:
     return DensityMatrix(psi.d ** len(axes), m @ m.conj().T)
 
 
+def _clamped_spectrum(lam: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (one spectrum per row of a stack) clipped to
+    [0, 1]; any eigenvalue below EIG_FLOOR is rejected as a malformed
+    density matrix."""
+    low = float(np.min(lam[..., 0]))
+    if low < EIG_FLOOR:
+        raise ValidationError(f"negative eigenvalue {low!r} below clamp floor")
+    return np.clip(lam, 0.0, 1.0)
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Spectral entropy -sum lambda log2 lambda in bits.
 
     Eigenvalues in [-1e-10, 0) are clamped to 0; anything lower is rejected
     as a malformed density matrix.
     """
-    lam = np.linalg.eigvalsh(rho.mat)
-    if float(lam[0]) < EIG_FLOOR:
-        raise ValidationError(f"negative eigenvalue {float(lam[0])!r} below clamp floor")
-    lam = np.clip(lam, 0.0, 1.0)
-    return _entropy_bits(lam)
+    return _entropy_bits(_clamped_spectrum(np.linalg.eigvalsh(rho.mat)))
 
 
 def schmidt_decompose(psi: PureState) -> SchmidtData:

@@ -44,6 +44,31 @@ def k_uniform_oracle(p, n, k, tol=1e-10):
     return True
 
 
+def subset_bound_oracle(psi):
+    """The subset scan one subset at a time: subset_lower_bound on every
+    subset of size <= n/2, complements included, in size-then-lexicographic
+    order; the first value above the best by more than 1e-12 wins."""
+    from entmin.entopt import subset_lower_bound
+
+    best, witness = 0.0, ()
+    for size in range(1, psi.n // 2 + 1):
+        for x in itertools.combinations(range(1, psi.n + 1), size):
+            val = subset_lower_bound(psi, x)
+            if val > best + 1e-12:
+                best, witness = val, x
+    return best, witness
+
+
+def stabilizer_weight_oracle(adj):
+    """Least support over all 2^v - 1 generator products: the product over
+    a vertex set S has X on S and Z on the XOR of S's adjacency rows."""
+    adj = np.asarray(adj, dtype=np.int64)
+    v = len(adj)
+    s = (np.arange(1, 1 << v)[:, None] >> np.arange(v)) & 1
+    z = (s @ adj) % 2
+    return int(np.min(np.sum(s | z, axis=1)))
+
+
 def gf2_rank_oracle(rows):
     """Row-reduction rank over GF(2) on a list of 0/1 lists."""
     rows = [list(r) for r in rows]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from entmin.entopt import (
+    SUBSET_STACK_AMPLITUDES,
     OptConfig,
     OptResult,
     _batch_size,
@@ -21,6 +22,7 @@ from entmin.entopt import (
 )
 from entmin.errors import EntminError, ValidationError
 from entmin.hilbert import (
+    EIG_FLOOR,
     ProductBasis,
     PureState,
     identity_basis,
@@ -32,7 +34,7 @@ from entmin.hilbert import (
 from entmin.indexing import MAX_AMPLITUDES
 from entmin.states import determinant_state, ghz, hexacode_state
 
-from conftest import outcome_oracle
+from conftest import outcome_oracle, subset_bound_oracle
 
 
 def haar(d, rng):
@@ -162,6 +164,87 @@ def test_subset_bounds():
     val, witness = best_subset_lower_bound(determinant_state(4))
     assert abs(val - math.log2(6)) < 1e-9
     assert witness == (1, 2)
+
+
+def seeded_state(n, d, seed, real=False):
+    rng = np.random.default_rng([n, d, seed])
+    z = rng.standard_normal(d**n)
+    if not real:
+        z = z + 1j * rng.standard_normal(d**n)
+    return PureState(n, d, z / np.linalg.norm(z))
+
+
+SCAN_SHAPES = [(n, 2) for n in range(3, 11)] + [(4, 3), (5, 3), (3, 4), (4, 4)]
+
+
+def test_subset_scan_matches_per_subset_oracle_bitwise():
+    for n, d in SCAN_SHAPES:
+        psi = seeded_state(n, d, 1)
+        assert best_subset_lower_bound(psi) == subset_bound_oracle(psi), (n, d)
+    named = [hexacode_state(), ghz(3, 2), determinant_state(4), determinant_state(5)]
+    for psi in named:
+        assert best_subset_lower_bound(psi) == subset_bound_oracle(psi)
+    assert best_subset_lower_bound(named[0])[1] == (1, 2, 3)
+
+
+def test_subset_scan_in_real_arithmetic_matches_oracle():
+    for n in range(3, 11):
+        psi = seeded_state(n, 2, 2, real=True)
+        val, witness = best_subset_lower_bound(psi)
+        want, want_witness = subset_bound_oracle(psi)
+        assert abs(val - want) <= 1e-12
+        assert witness == want_witness
+
+
+def count_eigvalsh(monkeypatch):
+    """Wrap np.linalg.eigvalsh; the list gets the number of matrices of
+    each call."""
+    calls = []
+    orig = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        a = np.asarray(a)
+        calls.append(1 if a.ndim == 2 else a.shape[0])
+        return orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def test_subset_scan_spans_chunks(monkeypatch):
+    psi = seeded_state(10, 2, 3)
+    want = subset_bound_oracle(psi)
+    per_chunk = SUBSET_STACK_AMPLITUDES // psi.dim
+    assert math.comb(10, 4) > per_chunk  # size 4 takes several chunks
+    calls = count_eigvalsh(monkeypatch)
+    assert best_subset_lower_bound(psi) == want
+    assert max(calls) == per_chunk
+    assert len(calls) > 5  # more batches than the five sizes scanned
+
+
+def test_subset_scan_skips_complements(monkeypatch):
+    calls = count_eigvalsh(monkeypatch)
+    for n, d in SCAN_SHAPES:
+        calls.clear()
+        best_subset_lower_bound(seeded_state(n, d, 4))
+        want = sum(math.comb(n, k) for k in range(1, (n + 1) // 2))
+        if n % 2 == 0:
+            want += math.comb(n, n // 2) // 2
+        assert sum(calls) == want, (n, d)
+
+
+def test_subset_scan_rejects_eigenvalues_below_floor(monkeypatch):
+    orig = np.linalg.eigvalsh
+
+    def below_floor(a, *args, **kwargs):
+        lam = orig(a, *args, **kwargs)
+        lam[..., 0] = 2 * EIG_FLOOR
+        return lam
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", below_floor)
+    for psi in (seeded_state(4, 2, 5), ghz(3, 2)):
+        with pytest.raises(ValidationError):
+            best_subset_lower_bound(psi)
 
 
 def test_max_product_overlap_bipartite_oracle(rng):

@@ -27,7 +27,13 @@ from entmin.gf2uniform import (
 from entmin.hilbert import partial_trace
 from entmin.states import GraphSpec, graph_state, hexacode_graph
 
-from conftest import fourier_oracle, gf2_rank_oracle, k_uniform_oracle, pauli_dense
+from conftest import (
+    fourier_oracle,
+    gf2_rank_oracle,
+    k_uniform_oracle,
+    pauli_dense,
+    stabilizer_weight_oracle,
+)
 
 
 def random_dist(n, rng):
@@ -265,6 +271,33 @@ def test_min_stabilizer_weight_against_compose_oracle(rng):
     for _ in range(10):
         g = random_graph(int(rng.integers(2, 6)), rng)
         assert min_stabilizer_weight(g) == min_weight_oracle(g)
+
+
+def test_min_stabilizer_weight_against_xor_oracle():
+    assert min_stabilizer_weight(GraphSpec(5, np.zeros((5, 5), dtype=np.uint8))) == 1
+    assert min_stabilizer_weight(hexacode_graph()) == 4
+    graphs = []
+    for v in range(2, 9):
+        graphs.append(GraphSpec(v, 1 - np.eye(v, dtype=np.uint8)))
+        graphs.append(GraphSpec.from_edges(v, [(i, i + 1) for i in range(1, v)]))
+    for v in range(5, 9):
+        graphs.append(GraphSpec.from_edges(v, [(i, i % v + 1) for i in range(1, v + 1)]))
+    rng = np.random.default_rng(20261018)
+    # 14 and 16 vertices reach the high half of the split tables
+    graphs += [random_graph(v, rng) for v in (*range(1, 13), 14, 16)]
+    for g in graphs:
+        assert min_stabilizer_weight(g) == stabilizer_weight_oracle(g.adj), g.edges()
+
+
+def test_min_stabilizer_weight_caps_before_allocating(monkeypatch):
+    g = GraphSpec(25, np.zeros((25, 25), dtype=np.uint8))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("np.arange used before the capacity check")
+
+    monkeypatch.setattr(np, "arange", unreachable)
+    with pytest.raises(CapacityError):
+        min_stabilizer_weight(g)
 
 
 def test_graph_reduced_density_matches_partial_trace(rng):
