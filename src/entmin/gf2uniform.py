@@ -217,19 +217,29 @@ def bipartition_blocks(g: GraphSpec, w) -> tuple:
 
 _CUT_CHUNK = 4096
 
+# Graphs tested together: 2^19 adjacency entries' worth, 0.5 MB as a
+# uint8 stack (8,192 graphs at 8 vertices).  Larger chunks speed up the
+# 2^28-graph search a little but raise the peak RSS of every search.
+_GRAPH_CHUNK_ENTRIES = 1 << 19
+
+
+def _cut_width(v: int) -> int:
+    """Columns of a balanced cut block, v // 2.  Blocks are packed into
+    int64 rows of that many bits, hence the cap."""
+    m = v // 2
+    if m > 62:
+        raise CapacityError(f"balanced cuts of {v} vertices are out of reach")
+    return m
+
 
 def _balanced_cuts(v: int):
     """Balanced cuts of v vertices with vertex 1 white, in chunks.
 
     Yields (whites, blacks) axis arrays of shape (cuts, v // 2), ascending
     within each row, in combinations order.  Chunks keep memory bounded at
-    large v, where the cut count grows as C(v - 1, v/2 - 1), and let a
-    failing graph stop after its first chunk.  Blocks are packed into
-    int64 rows of v // 2 bits, hence the cap.
+    large v, where the cut count grows as C(v - 1, v/2 - 1).
     """
-    m = v // 2
-    if m > 62:
-        raise CapacityError(f"balanced cuts of {v} vertices are out of reach")
+    m = _cut_width(v)
     rests = itertools.combinations(range(1, v), m - 1)
     while chunk := [(0,) + rest for rest in itertools.islice(rests, _CUT_CHUNK)]:
         whites = np.array(chunk, dtype=np.intp)
@@ -238,23 +248,91 @@ def _balanced_cuts(v: int):
         yield whites, np.nonzero(black)[1].reshape(len(chunk), m)
 
 
-def _balanced_cuts_full_rank(adj: np.ndarray, cuts) -> bool:
-    """True when every balanced cut block A_bw has full rank over GF(2).
+def _gf2_ranks(rows) -> np.ndarray:
+    """GF(2) ranks of a stack of G blocks with rows packed into int64.
 
-    ``cuts`` yields (whites, blacks) chunks as from _balanced_cuts.  A graph
-    with an isolated vertex fails without a rank: its block has a zero row
-    or, with the vertex pinned white, a zero column.  Ranks stop at the
+    ``rows`` holds one (G,) array per block row: entry g of rows[i] is
+    row i of block g.  The batched form of _rank_int_rows, and like it
+    destructive: row i is reduced in place by the reduced rows before it
+    with min(cur, cur ^ piv), which clears each earlier row's leading bit
+    from cur.  A row that reduces to zero adds nothing to the rank and,
+    as a later pivot, leaves every row unchanged.
+    """
+    rank = np.zeros(len(rows[0]), dtype=np.int64)
+    for i, cur in enumerate(rows):
+        for piv in rows[:i]:
+            np.minimum(cur, cur ^ piv, out=cur)
+        rank += cur != 0
+    return rank
+
+
+def _pair_positions(v: int) -> np.ndarray:
+    """(v, v) bit positions of the edges in an edge mask: bit k is the k-th
+    pair of itertools.combinations(range(v), 2); the diagonal reads 0."""
+    pos = np.zeros((v, v), dtype=np.int64)
+    iu = np.triu_indices(v, 1)  # row-major, the combinations order
+    pos[iu] = pos.T[iu] = np.arange(len(iu[0]))
+    return pos
+
+
+def _adjacency_stack(upper: np.ndarray, v: int) -> np.ndarray:
+    """(G, v, v) uint8 adjacencies from (G, C(v, 2)) 0/1 rows, one entry
+    per pair of itertools.combinations(range(v), 2)."""
+    i, j = np.triu_indices(v, 1)
+    adj = np.zeros((len(upper), v, v), dtype=np.uint8)
+    adj[:, i, j] = adj[:, j, i] = upper
+    return adj
+
+
+def _all_cuts_full_rank(graphs: np.ndarray, v: int, cuts) -> np.ndarray:
+    """Which graphs of a stack have every balanced cut block A_bw of full
+    rank over GF(2), as a bool array in stack order.
+
+    ``graphs`` is either a 1-D array of edge masks (bits as in
+    _pair_positions, so v <= 11) or a (G, v, v) adjacency stack;
+    ``cuts`` yields (whites, blacks) chunks as from _balanced_cuts.  A
+    graph with an isolated vertex fails without a rank: its block has a
+    zero row or, with the vertex pinned white, a zero column.  The rest
+    are tested one cut at a time: every surviving graph's block is packed
+    into int64 rows, all of them go through one batched elimination, and
+    graphs whose block is deficient drop out, so a graph stops at its
     first deficient block.
     """
-    if np.any(adj.sum(axis=0) == 0):
-        return False
-    m = len(adj) // 2
-    weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
-    for whites, blacks in cuts:
-        packed = adj[blacks[:, :, None], whites[:, None, :]] @ weights
-        if any(_rank_int_rows(rows) != m for rows in packed.tolist()):
-            return False
-    return True
+    m = _cut_width(v)
+    graphs = np.asarray(graphs)
+    if graphs.ndim == 1:
+        masks = graphs.astype(np.int64, copy=False)
+        pos = _pair_positions(v)
+        incident = np.bitwise_or.reduce(np.where(np.eye(v, dtype=bool), 0, 1 << pos), axis=1)
+        keep = np.ones(len(masks), dtype=bool)
+        for inc in incident.tolist():
+            keep &= (masks & inc) != 0
+        alive = np.flatnonzero(keep)
+
+        # rows are built one (G,) array at a time: a (G, m, m) int64 block
+        # would multiply the search's peak memory
+        def block_rows(idx, blacks, whites):
+            g = masks[idx]
+            rows = []
+            for b in blacks:
+                row = np.zeros_like(g)
+                for c, p in enumerate(pos[b, whites].tolist()):
+                    row |= ((g >> p) & 1) << (m - 1 - c)
+                rows.append(row)
+            return rows
+    else:
+        alive = np.flatnonzero(np.all(graphs.any(axis=1), axis=1))
+        weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
+
+        def block_rows(idx, blacks, whites):
+            return (graphs[idx[:, None, None], blacks[:, None], whites] @ weights).T
+    for whites, blacks in itertools.chain.from_iterable(zip(w, b) for w, b in cuts):
+        if not alive.size:
+            break
+        alive = alive[_gf2_ranks(block_rows(alive, blacks, whites)) == m]
+    ok = np.zeros(len(graphs), dtype=bool)
+    ok[alive] = True
+    return ok
 
 
 def is_maximally_uniform_graph(g: GraphSpec) -> bool:
@@ -265,51 +343,50 @@ def is_maximally_uniform_graph(g: GraphSpec) -> bool:
     """
     if g.v % 2 != 0:
         raise ValidationError(f"vertex count {g.v} is odd")
-    return _balanced_cuts_full_rank(g.adj, _balanced_cuts(g.v))
+    return bool(_all_cuts_full_rank(g.adj[None], g.v, _balanced_cuts(g.v))[0])
 
 
 def search_maximally_uniform(m: int, mode: str = "exhaustive", budget: int = 100_000,
                              seed: int = 0) -> list:
     """Find maximally uniform graphs on 2m vertices.
 
-    Exhaustive mode enumerates all 2^C(2m,2) edge sets, skipping graphs
-    with an isolated vertex (their block has a zero row); the 2m <= 8 cap
-    keeps that countable, though 2m = 8 is a long run.  Random mode samples
-    `budget` graphs with edge probability 1/2 and deduplicates.  Hits come
-    back as GraphSpec objects in candidate order.
+    Exhaustive mode tests all 2^C(2m,2) edge sets as edge masks, in
+    ascending chunks; the 2m <= 8 cap keeps that countable (2m = 8, 2^28
+    graphs, takes under a minute).  Random mode samples `budget` graphs
+    with edge probability 1/2, one draw per graph, and deduplicates.  Hits
+    come back as GraphSpec objects in candidate order.
     """
     if m < 1:
         raise ValidationError(f"need m >= 1, got {m}")
     v = 2 * m
-    pairs = list(itertools.combinations(range(v), 2))
+    n_pairs = v * (v - 1) // 2
+    chunk = max(1, _GRAPH_CHUNK_ENTRIES // (v * v))
 
     hits = []
     if mode == "exhaustive":
         if v > 8:
-            raise CapacityError(f"exhaustive search over 2^{len(pairs)} graphs is out of reach")
+            raise CapacityError(f"exhaustive search over 2^{n_pairs} graphs is out of reach")
         cuts = list(_balanced_cuts(v))
-        for mask in range(1 << len(pairs)):
-            adj = np.zeros((v, v), dtype=np.uint8)
-            for bit, (i, j) in enumerate(pairs):
-                if (mask >> bit) & 1:
-                    adj[i, j] = adj[j, i] = 1
-            if _balanced_cuts_full_rank(adj, cuts):
-                hits.append(GraphSpec(v, adj))
+        for start in range(0, 1 << n_pairs, chunk):
+            masks = np.arange(start, min(start + chunk, 1 << n_pairs), dtype=np.int64)
+            found = masks[_all_cuts_full_rank(masks, v, cuts)]
+            upper = (found[:, None] >> np.arange(n_pairs)) & 1
+            hits += [GraphSpec(v, adj) for adj in _adjacency_stack(upper, v)]
     elif mode == "random":
-        cuts = list(_balanced_cuts(v))
+        _cut_width(v)  # fail before drawing
         rng = np.random.default_rng(seed)
         seen = set()
-        for _ in range(budget):
-            upper = rng.integers(0, 2, size=len(pairs), dtype=np.uint8)
-            adj = np.zeros((v, v), dtype=np.uint8)
-            for bit, (i, j) in enumerate(pairs):
-                adj[i, j] = adj[j, i] = upper[bit]
-            key = adj.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            if _balanced_cuts_full_rank(adj, cuts):
-                hits.append(GraphSpec(v, adj))
+        for start in range(0, budget, chunk):
+            fresh = []
+            for _ in range(min(chunk, budget - start)):
+                upper = rng.integers(0, 2, size=n_pairs, dtype=np.uint8)
+                key = upper.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(upper)
+            adj = _adjacency_stack(np.array(fresh, dtype=np.uint8).reshape(-1, n_pairs), v)
+            ok = _all_cuts_full_rank(adj, v, _balanced_cuts(v))
+            hits += [GraphSpec(v, a) for a in adj[ok]]
     else:
         raise ValidationError(f"unknown mode {mode!r}")
     return hits

@@ -86,6 +86,52 @@ def gf2_rank_oracle(rows):
     return rank
 
 
+def deficient_cut_oracle(adj):
+    """Index of the first balanced cut, vertex 1 white and cuts in
+    combinations order, whose cross block A_bw is singular by
+    gf2_rank_oracle; None when every block has full rank."""
+    adj = np.asarray(adj)
+    v = len(adj)
+    m = v // 2
+    for k, rest in enumerate(itertools.combinations(range(1, v), m - 1)):
+        white = (0,) + rest
+        black = [a for a in range(v) if a not in white]
+        if gf2_rank_oracle(adj[np.ix_(black, white)].tolist()) != m:
+            return k
+    return None
+
+
+def maximally_uniform_search_oracle(m, mode="exhaustive", budget=0, seed=0):
+    """The graph search one graph at a time: every edge mask in ascending
+    order, or `budget` seeded draws of the C(2m, 2) edge bits (one
+    rng.integers call each) with repeated adjacencies dropped; a graph is
+    a hit when no balanced cut block is singular.  Returns the hits'
+    adjacency matrices in candidate order."""
+    v = 2 * m
+    pairs = list(itertools.combinations(range(v), 2))
+
+    def adjacency(bits):
+        adj = np.zeros((v, v), dtype=np.uint8)
+        for bit, (i, j) in zip(bits, pairs):
+            adj[i, j] = adj[j, i] = bit
+        return adj
+
+    if mode == "exhaustive":
+        candidates = (adjacency([(mask >> b) & 1 for b in range(len(pairs))])
+                      for mask in range(1 << len(pairs)))
+    else:
+        rng = np.random.default_rng(seed)
+        draws = [adjacency(rng.integers(0, 2, size=len(pairs), dtype=np.uint8))
+                 for _ in range(budget)]
+        seen = set()
+        candidates = []
+        for adj in draws:
+            if adj.tobytes() not in seen:
+                seen.add(adj.tobytes())
+                candidates.append(adj)
+    return [adj for adj in candidates if deficient_cut_oracle(adj) is None]
+
+
 PAULI_MATS = {
     "I": np.eye(2, dtype=np.complex128),
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),

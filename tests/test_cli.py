@@ -133,6 +133,30 @@ def test_verify_graphs_single_m(capsys):
     assert "m=2" in capsys.readouterr().out
 
 
+def test_verify_graphs_m4_branch_and_cap(monkeypatch, capsys):
+    # the real m = 4 search walks 2^28 graphs, so it is stubbed here
+    from entmin import gf2uniform, verify
+    from entmin.states import hexacode_graph
+
+    calls = []
+
+    def search(m, mode="exhaustive", **kwargs):
+        calls.append((m, mode))
+        return found
+
+    found = []
+    monkeypatch.setattr(gf2uniform, "search_maximally_uniform", search)
+    assert run(["verify", "graphs", "--m", "4"]) == 0
+    assert "m=4: no hits" in capsys.readouterr().out
+    assert calls == [(4, "exhaustive")]
+    found = [hexacode_graph()]  # any hit contradicts the m = 4 result
+    report = verify.graphs_suite(4)
+    assert not report["passed"]
+    assert [c["name"] for c in report["checks"]] == ["m=4: no hits"]
+    monkeypatch.undo()
+    assert run(["verify", "graphs", "--m", "5"]) == 3
+
+
 def test_table1_values(capsys):
     assert run(["table1", "--format", "json", "--out", "-"]) == 0
     rep = json.loads(capsys.readouterr().out)

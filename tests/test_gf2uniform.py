@@ -28,12 +28,21 @@ from entmin.hilbert import partial_trace
 from entmin.states import GraphSpec, graph_state, hexacode_graph
 
 from conftest import (
+    deficient_cut_oracle,
     fourier_oracle,
     gf2_rank_oracle,
     k_uniform_oracle,
+    maximally_uniform_search_oracle,
     pauli_dense,
     stabilizer_weight_oracle,
 )
+
+
+class NoNumpy:
+    """Stands in for the numpy module: any use fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used before the capacity check")
 
 
 def random_dist(n, rng):
@@ -215,6 +224,82 @@ def test_search_capacity_cap():
         search_maximally_uniform(63, mode="random", budget=1)
 
 
+def test_balanced_cut_cap_fires_before_allocating(monkeypatch):
+    matching = GraphSpec.from_edges(126, [(2 * i + 1, 2 * i + 2) for i in range(63)])
+    monkeypatch.setattr(gf2uniform, "np", NoNumpy())
+    with pytest.raises(CapacityError):
+        is_maximally_uniform_graph(matching)
+    with pytest.raises(CapacityError):
+        search_maximally_uniform(63, mode="random", budget=1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_search_exhaustive_matches_reference(m):
+    hits = search_maximally_uniform(m)
+    ref = maximally_uniform_search_oracle(m)
+    assert len(hits) == len(ref)
+    for g, adj in zip(hits, ref):
+        assert g.adj.dtype == adj.dtype and np.array_equal(g.adj, adj)
+
+
+@pytest.mark.parametrize("m, budget, seed", [(3, 3000, 5), (3, 2000, 11), (1, 50, 3),
+                                             (4, 300, 2)])
+def test_search_random_matches_reference(m, budget, seed):
+    hits = search_maximally_uniform(m, mode="random", budget=budget, seed=seed)
+    ref = maximally_uniform_search_oracle(m, "random", budget, seed)
+    assert len(hits) == len(ref)
+    for g, adj in zip(hits, ref):
+        assert np.array_equal(g.adj, adj)
+
+
+def pack_rows(blocks):
+    """(G, r, c) 0/1 blocks -> (r, G) int64: row i of every block in
+    entry i, column 0 most significant."""
+    c = blocks.shape[2]
+    packed = blocks.astype(np.int64) @ (1 << np.arange(c - 1, -1, -1, dtype=np.int64))
+    return np.ascontiguousarray(packed.T)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_batched_gf2_ranks_against_oracle(m):
+    rng = np.random.default_rng([77, m])
+    blocks = [np.zeros((m, m), dtype=np.uint8), np.eye(m, dtype=np.uint8)]
+    repeated = rng.integers(0, 2, size=(m, m), dtype=np.uint8)
+    repeated[-1] = repeated[0]
+    blocks.append(repeated)
+    # low-rank products reach every rank, not only the likely ones
+    for r in range(m + 1):
+        for _ in range(5):
+            a = rng.integers(0, 2, size=(m, r))
+            b = rng.integers(0, 2, size=(r, m))
+            blocks.append(((a @ b) % 2).astype(np.uint8))
+    blocks += list(rng.integers(0, 2, size=(200, m, m), dtype=np.uint8))
+    stack = np.array(blocks)
+    want = [gf2_rank_oracle(b.tolist()) for b in stack]
+    assert gf2uniform._gf2_ranks(pack_rows(stack)).tolist() == want
+    assert want[:2] == [0, m] and (m == 1 or want[2] < m)
+
+
+def test_batched_cut_test_matches_per_graph_oracle(rng):
+    # every m = 3 hit, the empty graph and random graphs: one batch whose
+    # graphs drop out at many different cuts
+    v = 6
+    pairs = list(itertools.combinations(range(v), 2))
+    adjs = maximally_uniform_search_oracle(3)
+    adjs += [np.zeros((v, v), dtype=np.uint8)]
+    adjs += [random_graph(v, rng).adj for _ in range(400)]
+    stack = np.array(adjs)
+    first_bad = [deficient_cut_oracle(a) for a in stack]
+    want = np.array([k is None for k in first_bad])
+    assert len({k for k in first_bad if k is not None}) >= 5
+    masks = np.array([sum(int(a[i, j]) << b for b, (i, j) in enumerate(pairs))
+                      for a in stack])
+    cuts = list(gf2uniform._balanced_cuts(v))
+    assert np.array_equal(gf2uniform._all_cuts_full_rank(stack, v, cuts), want)
+    assert np.array_equal(gf2uniform._all_cuts_full_rank(masks, v, cuts), want)
+    assert [is_maximally_uniform_graph(GraphSpec(v, a)) for a in stack] == want.tolist()
+
+
 def test_pauli_apply_matches_dense_oracle(rng):
     from entmin.hilbert import random_state
     psi = random_state(3, 2, rng)
@@ -325,11 +410,6 @@ def test_graph_reduced_density_caps_kept_block_before_allocating(monkeypatch):
     # a 13-vertex kept block would need about 3.6 GB, so the cap must fire
     # before any array is built: numpy is unreachable inside the call
     g = GraphSpec(14, np.zeros((14, 14), dtype=np.uint8))
-
-    class NoNumpy:
-        def __getattr__(self, name):
-            raise AssertionError(f"np.{name} used before the capacity check")
-
     monkeypatch.setattr(gf2uniform, "np", NoNumpy())
     with pytest.raises(CapacityError):
         graph_reduced_density(g, tuple(range(1, 14)))
