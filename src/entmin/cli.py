@@ -281,7 +281,7 @@ def cmd_graphs(args) -> int:
         "out_dir": args.out_dir,
     }, seed=args.seed)
     hits = gf2uniform.search_maximally_uniform(
-        args.m, mode=args.mode, budget=args.budget, seed=args.seed or 0)
+        args.m, mode=args.mode, budget=args.budget, seed=args.seed)
     rows = []
     for i, g in enumerate(hits):
         if args.out_dir:
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--mode", choices=("exhaustive", "random"),
                     default="exhaustive")
     gp.add_argument("--budget", type=int, default=100_000)
-    gp.add_argument("--seed", type=int, default=None)
+    gp.add_argument("--seed", type=int, default=0)
     gp.add_argument("--out-dir", default=None,
                     help="write each hit as an edge-list file here")
     add_io(gp)

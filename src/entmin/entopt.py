@@ -48,6 +48,8 @@ SUBSET_STACK_AMPLITUDES = 1 << 16
 _SIGNS = np.array([1.0, -1.0])[:, None, None]
 # rows of cand_h holding (h_a, h_b) for candidates +step, -step, vertex
 _CAND_ROWS = np.array(((0, 2), (1, 3), (4, 5)))
+# coordinate-descent passes over one party's rotation planes per sweep
+PARTY_PASSES = 2
 
 
 @dataclass(frozen=True)
@@ -56,15 +58,14 @@ class OptConfig:
     max_sweeps: int = 200
     tol: float = 1e-10
     seed: int = 7
-    per_party_steps: int = 2
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValidationError(f"restarts = {self.restarts} must be >= 1")
         if self.tol <= 0:
             raise ValidationError(f"tol = {self.tol} must be positive")
-        if self.max_sweeps < 1 or self.per_party_steps < 1:
-            raise ValidationError("max_sweeps and per_party_steps must be >= 1")
+        if self.max_sweeps < 1:
+            raise ValidationError(f"max_sweeps = {self.max_sweeps} must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +107,7 @@ def entropy_for_bases(psi: PureState, b: ProductBasis) -> float:
     return shannon_entropy(outcome_distribution(psi, b))
 
 
-def _optimize_party(y: np.ndarray, dq: int, passes: int,
-                    step: np.ndarray) -> np.ndarray:
+def _optimize_party(y: np.ndarray, dq: int, step: np.ndarray) -> np.ndarray:
     """Coordinate descent over plane rotations of one party's basis, for k
     starts at once.
 
@@ -142,7 +142,7 @@ def _optimize_party(y: np.ndarray, dq: int, passes: int,
     cand_t = np.stack((step, -step, step))
     cand_h = np.empty((6, k))
     live = np.ones(k, dtype=bool)
-    for _ in range(passes):
+    for _ in range(PARTY_PASSES):
         improved = np.zeros(k, dtype=bool)
         for a, b in itertools.combinations(range(d), 2):
             ab = np.array((a, b))
@@ -256,7 +256,7 @@ def _run_lockstep(t: np.ndarray, us: np.ndarray, cfg: OptConfig):
         for axis in range(n):
             q = np.moveaxis(rot, 1 + axis, 1).reshape(act.size, d, dq)
             y = np.concatenate((q, w[:, axis]), axis=-1)
-            h = _optimize_party(y, dq, cfg.per_party_steps, step[act])
+            h = _optimize_party(y, dq, step[act])
             w[:, axis] = y[:, :, dq:]
             rot = np.moveaxis(y[:, :, :dq].reshape(rot.shape), 1, 1 + axis)
         ws[act] = w

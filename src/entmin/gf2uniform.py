@@ -215,37 +215,61 @@ def bipartition_blocks(g: GraphSpec, w) -> tuple:
     return Gf2Matrix.from_array(a_ww), Gf2Matrix.from_array(a_bw)
 
 
-_CUT_CHUNK = 4096
-
-# Graphs tested together: 2^19 adjacency entries' worth, 0.5 MB as a
-# uint8 stack (8,192 graphs at 8 vertices).  Larger chunks speed up the
-# 2^28-graph search a little but raise the peak RSS of every search.
-_GRAPH_CHUNK_ENTRIES = 1 << 19
+# Graphs tested together: 8,192 rows of neighbour masks, 0.5 MB at 8
+# vertices; the chunk's working copies scale with it, and so does the
+# peak RSS of every search.
+_GRAPH_CHUNK = 1 << 13
 
 
-def _cut_width(v: int) -> int:
-    """Columns of a balanced cut block, v // 2.  Blocks are packed into
-    int64 rows of that many bits, hence the cap."""
-    m = v // 2
-    if m > 62:
-        raise CapacityError(f"balanced cuts of {v} vertices are out of reach")
-    return m
+def _vertex_bits(v: int) -> np.ndarray:
+    """Bit of each vertex, vertex i at bit v - i as in mask_of_parties.
+    Neighbour masks are int64 rows of these bits, hence the cap: 62 is the
+    largest even vertex count whose bits stay below the sign bit."""
+    if v > 62:
+        raise CapacityError(f"neighbour masks of {v} vertices are out of reach")
+    return np.array([mask_of_parties((i,), v) for i in range(1, v + 1)], dtype=np.int64)
+
+
+def _neighbour_masks(adj: np.ndarray) -> np.ndarray:
+    """Neighbour mask of every vertex of a (..., v, v) adjacency."""
+    return adj @ _vertex_bits(adj.shape[-1])
+
+
+def _edge_rows(v: int) -> np.ndarray:
+    """(C(v, 2), v) neighbour masks of each single-edge graph, edges in
+    itertools.combinations(range(v), 2) order; a graph's masks are the
+    XOR, or equally the sum, of its edges' rows."""
+    bits = _vertex_bits(v)
+    i, j = np.triu_indices(v, 1)  # row-major, the combinations order
+    rows = np.zeros((len(i), v), dtype=np.int64)
+    k = np.arange(len(i))
+    rows[k, i], rows[k, j] = bits[j], bits[i]
+    return rows
+
+
+def _xor_table(rows: np.ndarray) -> np.ndarray:
+    """XOR of every subset of rows, of any trailing shape: entry s is the
+    XOR of rows[b] over the set bits b of s."""
+    table = np.zeros((1 << len(rows),) + rows.shape[1:], dtype=np.int64)
+    for b, row in enumerate(rows):
+        np.bitwise_xor(table[:1 << b], row, out=table[1 << b:2 << b])
+    return table
+
+
+def _graph_specs(nbr: np.ndarray) -> list:
+    """GraphSpecs from (G, v) neighbour masks."""
+    v = nbr.shape[1]
+    adj = ((nbr[:, :, None] & _vertex_bits(v)) != 0).astype(np.uint8)
+    return [GraphSpec(v, a) for a in adj]
 
 
 def _balanced_cuts(v: int):
-    """Balanced cuts of v vertices with vertex 1 white, in chunks.
-
-    Yields (whites, blacks) axis arrays of shape (cuts, v // 2), ascending
-    within each row, in combinations order.  Chunks keep memory bounded at
-    large v, where the cut count grows as C(v - 1, v/2 - 1).
-    """
-    m = _cut_width(v)
-    rests = itertools.combinations(range(1, v), m - 1)
-    while chunk := [(0,) + rest for rest in itertools.islice(rests, _CUT_CHUNK)]:
-        whites = np.array(chunk, dtype=np.intp)
-        black = np.ones((len(chunk), v), dtype=bool)
-        black[np.arange(len(chunk))[:, None], whites] = False
-        yield whites, np.nonzero(black)[1].reshape(len(chunk), m)
+    """Balanced cuts of v vertices with vertex 1 white, in combinations
+    order, as (white mask, 0-based black axes) pairs; lazy, since the
+    count grows as C(v - 1, v/2 - 1)."""
+    for rest in itertools.combinations(range(2, v + 1), v // 2 - 1):
+        white = (1,) + rest
+        yield mask_of_parties(white, v), [a for a in range(v) if a + 1 not in white]
 
 
 def _gf2_ranks(rows) -> np.ndarray:
@@ -266,71 +290,27 @@ def _gf2_ranks(rows) -> np.ndarray:
     return rank
 
 
-def _pair_positions(v: int) -> np.ndarray:
-    """(v, v) bit positions of the edges in an edge mask: bit k is the k-th
-    pair of itertools.combinations(range(v), 2); the diagonal reads 0."""
-    pos = np.zeros((v, v), dtype=np.int64)
-    iu = np.triu_indices(v, 1)  # row-major, the combinations order
-    pos[iu] = pos.T[iu] = np.arange(len(iu[0]))
-    return pos
-
-
-def _adjacency_stack(upper: np.ndarray, v: int) -> np.ndarray:
-    """(G, v, v) uint8 adjacencies from (G, C(v, 2)) 0/1 rows, one entry
-    per pair of itertools.combinations(range(v), 2)."""
-    i, j = np.triu_indices(v, 1)
-    adj = np.zeros((len(upper), v, v), dtype=np.uint8)
-    adj[:, i, j] = adj[:, j, i] = upper
-    return adj
-
-
-def _all_cuts_full_rank(graphs: np.ndarray, v: int, cuts) -> np.ndarray:
+def _all_cuts_full_rank(nbr: np.ndarray, cuts) -> np.ndarray:
     """Which graphs of a stack have every balanced cut block A_bw of full
     rank over GF(2), as a bool array in stack order.
 
-    ``graphs`` is either a 1-D array of edge masks (bits as in
-    _pair_positions, so v <= 11) or a (G, v, v) adjacency stack;
-    ``cuts`` yields (whites, blacks) chunks as from _balanced_cuts.  A
-    graph with an isolated vertex fails without a rank: its block has a
-    zero row or, with the vertex pinned white, a zero column.  The rest
-    are tested one cut at a time: every surviving graph's block is packed
-    into int64 rows, all of them go through one batched elimination, and
-    graphs whose block is deficient drop out, so a graph stops at its
-    first deficient block.
+    ``nbr`` holds (G, v) neighbour masks; ``cuts`` yields (white mask,
+    black axes) pairs as from _balanced_cuts.  Row b of A_bw is
+    nbr[:, b] & white: its columns stay at their vertex bits, which does
+    not change the rank.  A graph with an isolated vertex fails without a
+    rank: its block has a zero row or, with the vertex pinned white, a
+    zero column.  The rest are tested one cut at a time in one batched
+    elimination, and graphs whose block is deficient drop out, so a graph
+    stops at its first deficient block.
     """
-    m = _cut_width(v)
-    graphs = np.asarray(graphs)
-    if graphs.ndim == 1:
-        masks = graphs.astype(np.int64, copy=False)
-        pos = _pair_positions(v)
-        incident = np.bitwise_or.reduce(np.where(np.eye(v, dtype=bool), 0, 1 << pos), axis=1)
-        keep = np.ones(len(masks), dtype=bool)
-        for inc in incident.tolist():
-            keep &= (masks & inc) != 0
-        alive = np.flatnonzero(keep)
-
-        # rows are built one (G,) array at a time: a (G, m, m) int64 block
-        # would multiply the search's peak memory
-        def block_rows(idx, blacks, whites):
-            g = masks[idx]
-            rows = []
-            for b in blacks:
-                row = np.zeros_like(g)
-                for c, p in enumerate(pos[b, whites].tolist()):
-                    row |= ((g >> p) & 1) << (m - 1 - c)
-                rows.append(row)
-            return rows
-    else:
-        alive = np.flatnonzero(np.all(graphs.any(axis=1), axis=1))
-        weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
-
-        def block_rows(idx, blacks, whites):
-            return (graphs[idx[:, None, None], blacks[:, None], whites] @ weights).T
-    for whites, blacks in itertools.chain.from_iterable(zip(w, b) for w, b in cuts):
+    cols = np.ascontiguousarray(nbr.T)  # vertex-major: column gathers are contiguous
+    alive = np.flatnonzero(cols.all(axis=0))
+    for white, blacks in cuts:
         if not alive.size:
             break
-        alive = alive[_gf2_ranks(block_rows(alive, blacks, whites)) == m]
-    ok = np.zeros(len(graphs), dtype=bool)
+        rank = _gf2_ranks([cols[b][alive] & white for b in blacks])
+        alive = alive[rank == len(blacks)]
+    ok = np.zeros(len(nbr), dtype=bool)
     ok[alive] = True
     return ok
 
@@ -343,50 +323,51 @@ def is_maximally_uniform_graph(g: GraphSpec) -> bool:
     """
     if g.v % 2 != 0:
         raise ValidationError(f"vertex count {g.v} is odd")
-    return bool(_all_cuts_full_rank(g.adj[None], g.v, _balanced_cuts(g.v))[0])
+    return bool(_all_cuts_full_rank(_neighbour_masks(g.adj)[None], _balanced_cuts(g.v))[0])
 
 
 def search_maximally_uniform(m: int, mode: str = "exhaustive", budget: int = 100_000,
                              seed: int = 0) -> list:
     """Find maximally uniform graphs on 2m vertices.
 
-    Exhaustive mode tests all 2^C(2m,2) edge sets as edge masks, in
-    ascending chunks; the 2m <= 8 cap keeps that countable (2m = 8, 2^28
-    graphs, takes under a minute).  Random mode samples `budget` graphs
-    with edge probability 1/2, one draw per graph, and deduplicates.  Hits
-    come back as GraphSpec objects in candidate order.
+    Exhaustive mode tests all 2^C(2m,2) edge sets in ascending edge-mask
+    order, bit k the k-th vertex pair: the neighbour masks of a chunk are
+    one row of an XOR table over the high edges XORed onto the table over
+    the low ones.  The 2m <= 8 cap keeps that countable (2m = 8, 2^28
+    graphs, takes about 20 s).  Random mode samples `budget` graphs with
+    edge probability 1/2, one draw per graph, and deduplicates.  Hits come
+    back as GraphSpec objects in candidate order.
     """
     if m < 1:
         raise ValidationError(f"need m >= 1, got {m}")
     v = 2 * m
     n_pairs = v * (v - 1) // 2
-    chunk = max(1, _GRAPH_CHUNK_ENTRIES // (v * v))
 
     hits = []
     if mode == "exhaustive":
         if v > 8:
             raise CapacityError(f"exhaustive search over 2^{n_pairs} graphs is out of reach")
+        edge_rows = _edge_rows(v)
+        lo = min(n_pairs, _GRAPH_CHUNK.bit_length() - 1)
+        low = _xor_table(edge_rows[:lo])
         cuts = list(_balanced_cuts(v))
-        for start in range(0, 1 << n_pairs, chunk):
-            masks = np.arange(start, min(start + chunk, 1 << n_pairs), dtype=np.int64)
-            found = masks[_all_cuts_full_rank(masks, v, cuts)]
-            upper = (found[:, None] >> np.arange(n_pairs)) & 1
-            hits += [GraphSpec(v, adj) for adj in _adjacency_stack(upper, v)]
+        for high in _xor_table(edge_rows[lo:]):
+            nbr = low ^ high
+            hits += _graph_specs(nbr[_all_cuts_full_rank(nbr, cuts)])
     elif mode == "random":
-        _cut_width(v)  # fail before drawing
+        edge_rows = _edge_rows(v)  # fails on the cap before drawing
         rng = np.random.default_rng(seed)
         seen = set()
-        for start in range(0, budget, chunk):
+        for start in range(0, budget, _GRAPH_CHUNK):
             fresh = []
-            for _ in range(min(chunk, budget - start)):
+            for _ in range(min(_GRAPH_CHUNK, budget - start)):
                 upper = rng.integers(0, 2, size=n_pairs, dtype=np.uint8)
                 key = upper.tobytes()
                 if key not in seen:
                     seen.add(key)
                     fresh.append(upper)
-            adj = _adjacency_stack(np.array(fresh, dtype=np.uint8).reshape(-1, n_pairs), v)
-            ok = _all_cuts_full_rank(adj, v, _balanced_cuts(v))
-            hits += [GraphSpec(v, a) for a in adj[ok]]
+            nbr = np.array(fresh, dtype=np.uint8).reshape(-1, n_pairs) @ edge_rows
+            hits += _graph_specs(nbr[_all_cuts_full_rank(nbr, _balanced_cuts(v))])
     else:
         raise ValidationError(f"unknown mode {mode!r}")
     return hits
@@ -463,15 +444,6 @@ def stabilizer_generators(g: GraphSpec) -> tuple:
     return tuple(gens)
 
 
-def _xor_table(rows: np.ndarray) -> np.ndarray:
-    """XOR of every subset of rows: entry s is the XOR of rows[b] over the
-    set bits b of s."""
-    table = np.zeros(1, dtype=np.int64)
-    for row in rows.tolist():
-        table = np.concatenate((table, table ^ row))
-    return table
-
-
 def min_stabilizer_weight(g: GraphSpec) -> int:
     """Smallest support among the 2^v - 1 nonidentity stabilizer elements.
 
@@ -485,10 +457,8 @@ def min_stabilizer_weight(g: GraphSpec) -> int:
     if g.v > 24:
         raise CapacityError(f"2^{g.v} stabilizer elements is out of reach")
     lo = min(g.v, 12)
-    # Z row of the generator at X bit b (vertex v - b): the OR of its
-    # neighbours' bits
-    bits = np.array([mask_of_parties((i,), g.v) for i in range(1, g.v + 1)])
-    zrows = (g.adj @ bits)[::-1]
+    # Z row of the generator at X bit b (vertex v - b): its neighbour mask
+    zrows = _neighbour_masks(g.adj)[::-1]
     zlo = _xor_table(zrows[:lo])
     xlo = np.arange(1 << lo)
     popcount = _hamming_weights(1 << 12, 12)

@@ -62,12 +62,17 @@ def _flag(name: str, passed: bool) -> dict:
     }
 
 
-def _wrap(suite: str, checks: list, t0: float) -> dict:
+def _wrap(suite: str, checks: list, t0: float, max_seconds: float | None = None) -> dict:
+    """Suite report; with max_seconds, a last "runtime seconds" check gates
+    the elapsed time."""
+    seconds = time.perf_counter() - t0
+    if max_seconds is not None:
+        checks.append(_below("runtime seconds", seconds, max_seconds))
     return {
         "suite": suite,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
-        "seconds": time.perf_counter() - t0,
+        "seconds": seconds,
     }
 
 
@@ -92,10 +97,7 @@ def bipartite_suite(n_states: int = 50, restarts: int = 20) -> dict:
         _below("max (schmidt - s_upper), must not undercut the exact value",
                worst_below, 1e-9),
     ]
-    report = _wrap("bipartite", checks, t0)
-    report["checks"].append(_below("runtime seconds", report["seconds"], 60.0))
-    report["passed"] = all(c["passed"] for c in report["checks"])
-    return report
+    return _wrap("bipartite", checks, t0, max_seconds=60.0)
 
 
 def ghz_suite() -> dict:
@@ -110,10 +112,7 @@ def ghz_suite() -> dict:
         _close("optimizer upper bound", res.s_upper, 1.0, 1e-6),
         _below("bracket width s_upper - s_lower", res.s_upper - res.s_lower, 1e-6),
     ]
-    report = _wrap("ghz", checks, t0)
-    report["checks"].append(_below("runtime seconds", report["seconds"], 1.0))
-    report["passed"] = all(c["passed"] for c in report["checks"])
-    return report
+    return _wrap("ghz", checks, t0, max_seconds=1.0)
 
 
 def _su_random(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -147,10 +146,7 @@ def det_suite() -> dict:
             dev = max(dev, float(np.linalg.norm(moved.reshape(-1) - psi.amp)))
         checks.append(_below(f"n={n} max |V^(x{n}) psi - psi| over 3 special unitaries",
                              dev, 1e-9))
-    report = _wrap("det", checks, t0)
-    report["checks"].append(_below("runtime seconds", report["seconds"], 300.0))
-    report["passed"] = all(c["passed"] for c in report["checks"])
-    return report
+    return _wrap("det", checks, t0, max_seconds=300.0)
 
 
 def gdet_table1_suite() -> dict:
@@ -229,15 +225,12 @@ def hexacode_suite(restarts: int = 24, seed: int = 7) -> dict:
     checks.append(_below("4 - s_upper (upper bound stays above the truth)",
                          4.0 - res.s_upper, 1e-9))
 
-    report = _wrap("hexacode", checks, t0)
-    report["checks"].append(_below("runtime seconds", report["seconds"], 120.0))
-    report["passed"] = all(c["passed"] for c in report["checks"])
-    return report
+    return _wrap("hexacode", checks, t0, max_seconds=120.0)
 
 
 def graphs_suite(m: int | None = None) -> dict:
     """Exhaustive maximally-uniform graph searches at m = 1, 2, 3, or at
-    one given m.  m = 4 (2^28 graphs, about a minute) runs only when asked
+    one given m.  m = 4 (2^28 graphs, about 20 s) runs only when asked
     for; the search raises CapacityError above it."""
     t0 = time.perf_counter()
     checks = []
@@ -312,10 +305,7 @@ def polytope_suite() -> dict:
     chain = kpolytope.verify_inf6_chain()
     checks.append(_flag("three-link chain passes", bool(chain["passed"])))
 
-    report = _wrap("polytope", checks, t0)
-    report["checks"].append(_below("runtime seconds", report["seconds"], 60.0))
-    report["passed"] = all(c["passed"] for c in report["checks"])
-    return report
+    return _wrap("polytope", checks, t0, max_seconds=60.0)
 
 
 SUITES = {

@@ -220,6 +220,31 @@ def test_graphs_search_emission(tmp_path, capsys):
     assert (out_dir / "hit_0000.edges").read_text().strip() == "1 2"
 
 
+def test_graphs_random_seed_defaults_to_zero(tmp_path, capsys):
+    from entmin.gf2uniform import search_maximally_uniform
+
+    assert run(["graphs", "--m", "2", "--mode", "random", "--budget", "10",
+                "--format", "json", "--out", "-"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["manifest"]["seed"] == 0
+    assert rep["hits"] == len(search_maximally_uniform(2, "random", 10, seed=0))
+    # at m = 3 the hits depend on the seed, so the written graphs show
+    # which seed the draws used
+    out_dir = tmp_path / "hits"
+    out_dir.mkdir()
+    assert run(["graphs", "--m", "3", "--mode", "random", "--budget", "2000",
+                "--out-dir", str(out_dir), "--format", "json", "--out", "-"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["manifest"]["seed"] == 0
+    want = search_maximally_uniform(3, "random", 2000, seed=0)
+    other = search_maximally_uniform(3, "random", 2000, seed=1)
+    assert want and [g.edges() for g in want] != [g.edges() for g in other]
+    written = [tuple(tuple(int(x) for x in line.split())
+                     for line in (out_dir / f"hit_{i:04d}.edges").read_text().splitlines())
+               for i in range(rep["hits"])]
+    assert written == [g.edges() for g in want]
+
+
 def test_exit_code_input_error():
     assert run(["entropy", "definitely_missing.json"]) == 2
 

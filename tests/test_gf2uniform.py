@@ -216,7 +216,8 @@ def test_search_capacity_cap():
         search_maximally_uniform(5)
     with pytest.raises(ValidationError):
         search_maximally_uniform(3, mode="sideways")
-    # cut blocks are packed into int64 rows, so 63 white vertices is too many
+    # graphs are held as int64 neighbour masks, one bit per vertex, so 126
+    # vertices is too many
     matching = GraphSpec.from_edges(126, [(2 * i + 1, 2 * i + 2) for i in range(63)])
     with pytest.raises(CapacityError):
         is_maximally_uniform_graph(matching)
@@ -231,6 +232,20 @@ def test_balanced_cut_cap_fires_before_allocating(monkeypatch):
         is_maximally_uniform_graph(matching)
     with pytest.raises(CapacityError):
         search_maximally_uniform(63, mode="random", budget=1)
+
+
+def test_balanced_cut_cap_boundary(monkeypatch):
+    # 62 vertices fit the int64 neighbour masks: the perfect matching fails
+    # its first cut at once, out of C(61, 30) ~ 2.3e17
+    matching = GraphSpec.from_edges(62, [(2 * i + 1, 2 * i + 2) for i in range(31)])
+    assert not is_maximally_uniform_graph(matching)
+    # 64 vertices would need bit 63, the int64 sign bit
+    wide = GraphSpec.from_edges(64, [(2 * i + 1, 2 * i + 2) for i in range(32)])
+    monkeypatch.setattr(gf2uniform, "np", NoNumpy())
+    with pytest.raises(CapacityError):
+        is_maximally_uniform_graph(wide)
+    with pytest.raises(CapacityError):
+        search_maximally_uniform(32, mode="random", budget=1)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -292,11 +307,18 @@ def test_batched_cut_test_matches_per_graph_oracle(rng):
     first_bad = [deficient_cut_oracle(a) for a in stack]
     want = np.array([k is None for k in first_bad])
     assert len({k for k in first_bad if k is not None}) >= 5
-    masks = np.array([sum(int(a[i, j]) << b for b, (i, j) in enumerate(pairs))
-                      for a in stack])
+    # a graph's neighbour masks are the same from its adjacency, alone or
+    # in a stack, and from its upper-triangle edge bits
+    upper = np.array([[a[i, j] for i, j in pairs] for a in stack])
+    nbr = upper @ gf2uniform._edge_rows(v)
+    assert np.array_equal(nbr, [gf2uniform._neighbour_masks(a) for a in stack])
+    assert np.array_equal(nbr, gf2uniform._neighbour_masks(stack))
+    # axis j sits at bit v - 1 - j, so that bit of axis i's mask is adj[i, j]
+    assert all(((nbr[:, i] >> (v - 1 - j)) & 1 == stack[:, i, j]).all()
+               for i in range(v) for j in range(v))
+    assert np.array_equal([g.adj for g in gf2uniform._graph_specs(nbr)], stack)
     cuts = list(gf2uniform._balanced_cuts(v))
-    assert np.array_equal(gf2uniform._all_cuts_full_rank(stack, v, cuts), want)
-    assert np.array_equal(gf2uniform._all_cuts_full_rank(masks, v, cuts), want)
+    assert np.array_equal(gf2uniform._all_cuts_full_rank(nbr, cuts), want)
     assert [is_maximally_uniform_graph(GraphSpec(v, a)) for a in stack] == want.tolist()
 
 
