@@ -21,7 +21,7 @@ import io
 import itertools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -30,12 +30,13 @@ from . import entopt, gf2uniform, kpolytope, states, verify
 from .entopt import OptConfig
 from .errors import CapacityError, EntminError, ValidationError
 from .hilbert import (
+    _reduced_states,
     embed_local_dims,
     load_state,
-    partial_trace,
     save_state,
     shannon_entropy,
 )
+from .indexing import parties_to_axes
 
 try:
     from importlib.metadata import version as _pkg_version
@@ -68,14 +69,7 @@ class RunManifest:
         self.input_hashes[path] = _sha256(path)
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "version": self.version,
-            "timestamp": self.timestamp,
-            "input_hashes": dict(self.input_hashes),
-        }
+        return asdict(self)
 
 
 def _manifest_comment_lines(manifest: RunManifest) -> list:
@@ -152,9 +146,9 @@ def _assert_three_uniform_marginals(psi) -> None:
     """The polytope floor applies only when every 3-qubit block is I/8."""
     if psi.n != 6 or psi.d != 2:
         raise ValidationError("--polytope-bound needs a 6-party qubit state")
-    eye8 = np.eye(8) / 8.0
-    for w in itertools.combinations(range(1, 7), 3):
-        dev = float(np.max(np.abs(partial_trace(psi, w).mat - eye8)))
+    blocks = list(itertools.combinations(range(1, 7), 3))
+    rho = _reduced_states(psi.tensor(), [parties_to_axes(w, 6) for w in blocks])
+    for w, dev in zip(blocks, np.max(np.abs(rho - np.eye(8) / 8.0), axis=(1, 2))):
         if dev > 1e-9:
             raise ValidationError(
                 f"--polytope-bound: block {w} is not maximally mixed "

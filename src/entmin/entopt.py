@@ -27,11 +27,11 @@ import numpy as np
 
 from .errors import EntminError, ValidationError
 from .hilbert import (
-    HERM_TOL,
     ProductBasis,
     PureState,
     _clamped_spectrum,
     _entropy_bits,
+    _reduced_states,
     _rotate_all,
     outcome_distribution,
     partial_trace,
@@ -205,12 +205,9 @@ def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _marginal_eigenbases(psi: PureState) -> list:
-    us = []
-    for party in range(1, psi.n + 1):
-        rho = partial_trace(psi, (party,))
-        _, vec = np.linalg.eigh(rho.mat)
-        us.append(vec.astype(np.complex128))
-    return us
+    """Eigenvectors of every one-party reduced state, from one batched eigh."""
+    _, vecs = np.linalg.eigh(_reduced_states(psi.tensor(), [(a,) for a in range(psi.n)]))
+    return list(vecs)
 
 
 def _initial_bases(psi: PureState, restart: int, seed: int) -> list:
@@ -293,32 +290,7 @@ def _canonical_basis(psi_n: int, d: int, us) -> ProductBasis:
 
 def subset_lower_bound(psi: PureState, x) -> float:
     """Von Neumann entropy of the reduced state on a party subset x."""
-    rho = partial_trace(psi, x)
-    if rho.dim >= psi.dim:
-        raise ValidationError("subset must be proper")
-    return von_neumann_entropy(rho)
-
-
-def _subset_entropies(t: np.ndarray, subsets: list) -> list:
-    """Von Neumann entropies of the reduced states on equal-size subsets
-    (0-based axes of the state tensor t), from one batched Gram product
-    and one batched eigvalsh.
-
-    The stack gets the checks a DensityMatrix makes (Hermitian and unit
-    trace within HERM_TOL) and von_neumann_entropy's eigenvalue floor.
-    """
-    n, d = t.ndim, t.shape[0]
-    rows = d ** len(subsets[0])
-    m = np.empty((len(subsets), rows, t.size // rows), dtype=t.dtype)
-    for mat, x in zip(m, subsets):
-        mat.reshape(t.shape)[...] = t.transpose(x + tuple(a for a in range(n) if a not in x))
-    rho = m @ m.conj().transpose(0, 2, 1)
-    if np.max(np.abs(rho - rho.conj().transpose(0, 2, 1))) > HERM_TOL:
-        raise ValidationError("reduced state is not Hermitian within 1e-12")
-    tr = np.trace(rho, axis1=1, axis2=2)
-    if np.max(np.abs(tr - 1.0)) > HERM_TOL:
-        raise ValidationError(f"reduced state traces range over {tr.min()!r}..{tr.max()!r}")
-    return [_entropy_bits(lam) for lam in _clamped_spectrum(np.linalg.eigvalsh(rho))]
+    return von_neumann_entropy(partial_trace(psi, x))
 
 
 def best_subset_lower_bound(psi: PureState):
@@ -330,7 +302,8 @@ def best_subset_lower_bound(psi: PureState):
     could not win.  A state with real amplitudes (graph states, det(n),
     the hexacode state) is scanned in real arithmetic.  Each size's
     subsets are stacked in chunks of at most SUBSET_STACK_AMPLITUDES
-    amplitudes, each chunk one Gram product and one eigvalsh.  Returns
+    amplitudes, each chunk one _reduced_states stack (with DensityMatrix's
+    checks) and one eigvalsh, clamped as in von_neumann_entropy.  Returns
     (value, witness subset); the first maximizer in size-then-lexicographic
     order wins.
     """
@@ -347,7 +320,8 @@ def best_subset_lower_bound(psi: PureState):
         else:
             subsets = itertools.combinations(range(n), size)
         while chunk := list(itertools.islice(subsets, per_chunk)):
-            for x, val in zip(chunk, _subset_entropies(t, chunk)):
+            lam = _clamped_spectrum(np.linalg.eigvalsh(_reduced_states(t, chunk)))
+            for x, val in zip(chunk, map(_entropy_bits, lam)):
                 if val > best + 1e-12:
                     best = val
                     witness = tuple(a + 1 for a in x)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import CapacityError, ValidationError
 from .hilbert import DensityMatrix, PureState
 from .indexing import check_capacity, mask_of_parties, parties_to_axes
-from .states import GraphSpec
+from .states import GraphSpec, _edge_signs
 
 DIST_TOL = 1e-10
 
@@ -33,24 +33,14 @@ _PAULI_TABLE = {
 }
 
 
-def _hamming_weights(size: int, bits: int) -> np.ndarray:
-    """Vector of popcounts for 0 .. size-1."""
-    idx = np.arange(size)
-    w = np.zeros(size, dtype=np.int64)
+def _hamming_weights(bits: int) -> np.ndarray:
+    """Popcounts of 0 .. 2**bits - 1; the parity of idx & mask is
+    wt[idx & mask] & 1."""
+    idx = np.arange(1 << bits)
+    w = np.zeros(1 << bits, dtype=np.int64)
     for b in range(bits):
         w += (idx >> b) & 1
     return w
-
-
-def _masked_parity(idx: np.ndarray, mask: int) -> np.ndarray:
-    """Parity of idx & mask, vectorized over an index array."""
-    par = np.zeros(idx.size, dtype=np.int64)
-    b = 0
-    while mask >> b:
-        if (mask >> b) & 1:
-            par ^= (idx >> b) & 1
-        b += 1
-    return par
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +113,7 @@ def is_k_uniform(dist: BitDistribution, k: int, tol: float = DIST_TOL) -> bool:
     if k == 0:
         return True
     q = fourier(dist)
-    w = _hamming_weights(q.size, dist.n)
+    w = _hamming_weights(dist.n)
     mask = (w >= 1) & (w <= k)
     return bool(np.all(np.abs(q[mask]) <= tol))
 
@@ -145,9 +135,10 @@ def parity_constrained_uniform(n: int, checks) -> BitDistribution:
     """
     check_capacity(n, 2)
     idx = np.arange(1 << n)
+    wt = _hamming_weights(n)
     ok = np.ones(1 << n, dtype=bool)
     for parties in checks:
-        ok &= _masked_parity(idx, mask_of_parties(parties, n)) == 0
+        ok &= (wt[idx & mask_of_parties(parties, n)] & 1) == 0
     count = int(ok.sum())
     if count == 0:
         raise ValidationError("parity checks are inconsistent")
@@ -180,24 +171,14 @@ class Gf2Matrix:
         return cls(arr.shape[0], arr.shape[1], arr)
 
 
-def _rank_int_rows(rows: list) -> int:
-    """GF(2) rank of rows packed as ints (destructive on the list)."""
-    rank = 0
-    for row in rows:
-        cur = row
-        for piv in rows[:rank]:
-            cur = min(cur, cur ^ piv)
-        if cur:
-            rows[rank] = cur
-            rank += 1
-    return rank
-
-
 def gf2_rank(m) -> int:
-    """Rank over GF(2) of a Gf2Matrix or a 0/1 array, rows packed as ints."""
+    """Rank over GF(2) of a Gf2Matrix or a 0/1 array: _gf2_ranks on a
+    0-d stack of one block, rows packed as object-dtype Python ints so any
+    width fits."""
     bits = m.bits if isinstance(m, Gf2Matrix) else np.asarray(m, dtype=np.uint8)
     packed = np.packbits(bits & 1, axis=1)
-    return _rank_int_rows([int.from_bytes(row.tobytes(), "big") for row in packed])
+    return int(_gf2_ranks([np.array(int.from_bytes(row.tobytes(), "big"), dtype=object)
+                           for row in packed]))
 
 
 def bipartition_blocks(g: GraphSpec, w) -> tuple:
@@ -272,17 +253,19 @@ def _balanced_cuts(v: int):
         yield mask_of_parties(white, v), [a for a in range(v) if a + 1 not in white]
 
 
-def _gf2_ranks(rows) -> np.ndarray:
-    """GF(2) ranks of a stack of G blocks with rows packed into int64.
+def _gf2_ranks(rows):
+    """GF(2) ranks of a stack of G blocks with rows packed into integers:
+    the one GF(2) elimination.
 
-    ``rows`` holds one (G,) array per block row: entry g of rows[i] is
-    row i of block g.  The batched form of _rank_int_rows, and like it
-    destructive: row i is reduced in place by the reduced rows before it
-    with min(cur, cur ^ piv), which clears each earlier row's leading bit
-    from cur.  A row that reduces to zero adds nothing to the rank and,
-    as a later pivot, leaves every row unchanged.
+    ``rows`` holds one (G,) array per block row, or one 0-d array for a
+    single block: entry g of rows[i] is row i of block g, as int64 or as
+    object-dtype Python ints.  The rows are reduced in place: row i by the
+    reduced rows before it with min(cur, cur ^ piv), which clears each
+    earlier row's leading bit from cur.  A row that reduces to zero adds
+    nothing to the rank and, as a later pivot, leaves every row unchanged.
+    No rows give rank 0.
     """
-    rank = np.zeros(len(rows[0]), dtype=np.int64)
+    rank = 0
     for i, cur in enumerate(rows):
         for piv in rows[:i]:
             np.minimum(cur, cur ^ piv, out=cur)
@@ -426,7 +409,7 @@ class PauliString:
         zymask = mask_of_parties([i for i, f in enumerate(self.factors, 1) if f in "ZY"], n)
         n_y = self.factors.count("Y")
         idx = np.arange(1 << n)
-        signs = np.where(_masked_parity(idx, zymask), -1.0, 1.0)
+        signs = np.where(_hamming_weights(n)[idx & zymask] & 1, -1.0, 1.0)
         coef = self.sign * (1j) ** (n_y % 4)
         out = np.empty_like(psi.amp)
         out[idx ^ xmask] = coef * signs * psi.amp
@@ -461,7 +444,7 @@ def min_stabilizer_weight(g: GraphSpec) -> int:
     zrows = _neighbour_masks(g.adj)[::-1]
     zlo = _xor_table(zrows[:lo])
     xlo = np.arange(1 << lo)
-    popcount = _hamming_weights(1 << 12, 12)
+    popcount = _hamming_weights(12)
     best = g.v
     for hi, zhi in enumerate(_xor_table(zrows[lo:]).tolist()):
         support = (xlo | (hi << lo)) | (zlo ^ zhi)
@@ -477,10 +460,11 @@ def graph_reduced_density(g: GraphSpec, w) -> DensityMatrix:
 
     In the standard basis of the kept block,
         <x| rho |y> = (-1)^(a(x) + a(y)) 2^(-|w|) [A_bw (x xor y) = 0]
-    with a the edge quadratic form inside w and A_bw the block from the
-    dropped set to w.  Entries are grouped by the syndrome A_bw x rather
-    than testing every (x, y) pair; this must agree with the partial-trace
-    path through the state vector.
+    with a the edge quadratic form of w's induced subgraph (its signs from
+    states._edge_signs) and A_bw the block from the dropped set to w.
+    Entries are grouped by the syndrome A_bw x rather than testing every
+    (x, y) pair; this must agree with the partial-trace path through the
+    state vector.
     """
     keep_axes = parties_to_axes(w, g.v)
     if not 0 < len(keep_axes) < g.v:
@@ -494,13 +478,7 @@ def graph_reduced_density(g: GraphSpec, w) -> DensityMatrix:
     x = np.arange(size)
     party_bits = [mask_of_parties((t,), k) for t in range(1, k + 1)]
     bits = ((x[:, None] & party_bits) != 0).astype(np.uint8)
-
-    a_ww = np.zeros(size, dtype=np.uint8)
-    for s in range(k):
-        for t in range(s + 1, k):
-            if g.adj[keep_axes[s], keep_axes[t]]:
-                a_ww ^= bits[:, s] & bits[:, t]
-    d = np.where(a_ww, -1.0, 1.0)
+    d = _edge_signs(GraphSpec(k, g.adj[np.ix_(keep_axes, keep_axes)]))
 
     drop_axes = [a for a in range(g.v) if a not in set(keep_axes)]
     block = g.adj[np.ix_(drop_axes, keep_axes)]

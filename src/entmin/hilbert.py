@@ -61,8 +61,8 @@ class PureState:
         """Amplitudes reshaped to an n-axis tensor, axis i-1 for party i."""
         return self.amp.reshape((self.d,) * self.n)
 
-    def nonzero_count(self, tol: float = 1e-12) -> int:
-        return int(np.count_nonzero(np.abs(self.amp) > tol))
+    def nonzero_count(self) -> int:
+        return int(np.count_nonzero(np.abs(self.amp) > 1e-12))
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,12 +76,19 @@ class DensityMatrix:
         mat = np.asarray(self.mat, dtype=np.complex128)
         if mat.shape != (self.dim, self.dim):
             raise ValidationError(f"matrix shape {mat.shape} != ({self.dim}, {self.dim})")
-        if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
-            raise ValidationError("matrix is not Hermitian within 1e-12")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > HERM_TOL:
-            raise ValidationError(f"trace is {tr!r}, expected 1")
+        _check_density(mat)
         object.__setattr__(self, "mat", _frozen_array(mat))
+
+
+def _check_density(rho: np.ndarray) -> None:
+    """Reject a matrix, or a stack of them, that is not Hermitian and of
+    unit trace within HERM_TOL; the trace reported is the worst one."""
+    if np.max(np.abs(rho - np.swapaxes(rho.conj(), -1, -2))) > HERM_TOL:
+        raise ValidationError("matrix is not Hermitian within 1e-12")
+    tr = np.trace(rho, axis1=-2, axis2=-1).reshape(-1)
+    worst = complex(tr[np.argmax(np.abs(tr - 1.0))])
+    if abs(worst - 1.0) > HERM_TOL:
+        raise ValidationError(f"trace is {worst!r}, expected 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,6 +217,25 @@ def shannon_entropy(p) -> float:
     return _entropy_bits(np.clip(p, 0.0, None))
 
 
+def _reduced_states(t: np.ndarray, subsets) -> np.ndarray:
+    """Reduced density matrices of the state tensor t on equal-size subsets
+    of its 0-based axes: the one reduced-state kernel.
+
+    Each subset's axes lead, in the given order, and the rest are traced
+    out.  The subsets' amplitude matrices are stacked and share one Gram
+    product; the (len(subsets), r, r) result is checked as a DensityMatrix
+    is, so an unnormalized t is rejected.
+    """
+    rows = t.shape[0] ** len(subsets[0])
+    m = np.empty((len(subsets), rows, t.size // rows), dtype=t.dtype)
+    for mat, x in zip(m, subsets):
+        rest = tuple(a for a in range(t.ndim) if a not in x)
+        mat.reshape(t.shape)[...] = t.transpose(tuple(x) + rest)
+    rho = m @ m.conj().transpose(0, 2, 1)
+    _check_density(rho)
+    return rho
+
+
 def partial_trace(psi: PureState, keep) -> DensityMatrix:
     """Reduced density matrix of the given parties (1-based labels).
 
@@ -218,10 +244,7 @@ def partial_trace(psi: PureState, keep) -> DensityMatrix:
     axes = parties_to_axes(keep, psi.n)
     if len(axes) == 0 or len(axes) == psi.n:
         raise ValidationError("keep-set must be a nonempty proper subset of the parties")
-    other = tuple(a for a in range(psi.n) if a not in axes)
-    t = np.transpose(psi.tensor(), axes + other)
-    m = t.reshape(psi.d ** len(axes), psi.d ** len(other))
-    return DensityMatrix(psi.d ** len(axes), m @ m.conj().T)
+    return DensityMatrix(psi.d ** len(axes), _reduced_states(psi.tensor(), [axes])[0])
 
 
 def _clamped_spectrum(lam: np.ndarray) -> np.ndarray:

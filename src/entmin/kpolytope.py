@@ -26,7 +26,6 @@ from .errors import CapacityError, EntminError, ValidationError
 from .gf2uniform import (
     BitDistribution,
     _hamming_weights,
-    _masked_parity,
     fourier,
     inverse_fourier,
     is_k_uniform,
@@ -73,7 +72,7 @@ class QPoint53:
 
 def _qpoint_probabilities(pt: QPoint53) -> np.ndarray:
     x = np.arange(32)
-    wt = _hamming_weights(32, 5)
+    wt = _hamming_weights(5)
     bracket = np.full(32, pt.q, dtype=np.float64)
     for i in range(1, 6):
         xi = x & mask_of_parties((i,), 5)
@@ -90,35 +89,15 @@ def enumerate_vertices_p53() -> list:
     """The eleven extreme points of the p(00000) = 0 face, by construction.
 
     The cone {q_i + q_j <= 0} has apex 0 and ten extreme rays: -e_i, and
-    e_i - sum of the other four (both keep every pair sum <= 0).  Cutting
-    with sum(q_i) = -1 turns each ray into a point; the apex survives as
-    the eleventh vertex.  Points are deduplicated within 1e-9.
+    e_i - sum of the other four (both keep every pair sum <= 0).  Both
+    ray sums are negative (-1 and -3), so cutting with sum(q_i) = -1 turns
+    every ray into a point: -e_i and (e_i - sum of the others) / 3.  The
+    apex comes first, as the eleventh vertex.
     """
-    rays = []
-    for i in range(5):
-        e = np.zeros(5)
-        e[i] = -1.0
-        rays.append(e)
-    for i in range(5):
-        e = -np.ones(5)
-        e[i] = 1.0
-        rays.append(e)
-
-    points = [np.zeros(5)]
-    for ray in rays:
-        total = ray.sum()
-        if total < 0:  # the ray meets the plane sum = -1
-            points.append(ray / (-total))
-
-    out = []
-    seen = set()
-    for vec in points:
-        key = tuple(np.round(vec, DEDUP_DECIMALS))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(QPoint53(q=-1.0 - float(vec.sum()), qi=tuple(vec)))
-    return out
+    eye = np.eye(5)
+    # np.diag keeps +0.0 off the diagonal, where -eye would put -0.0
+    points = [np.zeros(5), *np.diag(np.full(5, -1.0)), *((2.0 * eye - 1.0) / 3.0)]
+    return [QPoint53(q=-1.0 - float(vec.sum()), qi=tuple(vec)) for vec in points]
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,14 +126,14 @@ class PolytopeSpec:
         if not 0 <= self.k <= self.n:
             raise ValidationError(f"uniformity order {self.k} out of range")
         size = 1 << self.n
-        wt = _hamming_weights(size, self.n)
+        wt = _hamming_weights(self.n)
         free = tuple(int(y) for y in np.flatnonzero(wt > self.k))
         if len(free) > MAX_FREE_DIM:
             raise CapacityError(f"{len(free)} free coefficients exceeds {MAX_FREE_DIM}")
         idx = np.arange(size)
         signs = np.ones((size, len(free)))
         for col, y in enumerate(free):
-            signs[:, col] = np.where(_masked_parity(idx, y), -1.0, 1.0)
+            signs[:, col] = np.where(wt[idx & y] & 1, -1.0, 1.0)
         faces = tuple(int(x) for x in self.zero_faces)
         if any(not 0 <= x < size for x in faces):
             raise ValidationError(f"zero face out of range: {faces}")
@@ -345,7 +324,7 @@ def _sample_p63(rng: np.random.Generator) -> BitDistribution:
     raw = rng.random(64)
     raw /= raw.sum()
     q = fourier(BitDistribution(6, raw))
-    wt = _hamming_weights(64, 6)
+    wt = _hamming_weights(6)
     q[(wt >= 1) & (wt <= 3)] = 0.0
     proj = walsh_transform(q) / 64.0
     m = float(proj.min())

@@ -178,16 +178,21 @@ def generalized_determinant_support(d: int, p: int, code: CodeMap | None = None)
     return np.array(sorted(idx), dtype=np.int64), 1.0 / math.factorial(levels)
 
 
-def graph_state(g: GraphSpec) -> PureState:
-    """Qubit state with amplitudes (-1)^(edge quadratic form) / 2^(v/2)."""
-    check_capacity(g.v, 2)
-    size = 1 << g.v
-    x = np.arange(size)
-    phase = np.zeros(size, dtype=np.uint8)
+def _edge_signs(g: GraphSpec) -> np.ndarray:
+    """(-1)^(edge quadratic form) of every v-bit string, in flat order: the
+    one edge-form loop, shared with the graph-state reduced densities."""
+    x = np.arange(1 << g.v)
+    phase = np.zeros(1 << g.v, dtype=np.uint8)
     for edge in g.edges():
         both = mask_of_parties(edge, g.v)
         phase ^= (x & both) == both
-    amp = np.where(phase, -1.0, 1.0) / math.sqrt(size)
+    return np.where(phase, -1.0, 1.0)
+
+
+def graph_state(g: GraphSpec) -> PureState:
+    """Qubit state with amplitudes (-1)^(edge quadratic form) / 2^(v/2)."""
+    check_capacity(g.v, 2)
+    amp = _edge_signs(g) / math.sqrt(1 << g.v)
     return PureState(g.v, 2, amp.astype(np.complex128))
 
 
@@ -227,8 +232,8 @@ def save_graph(g: GraphSpec, path) -> None:
             fh.write(f"{i} {j}\n")
 
 
-def load_graph(path, v: int | None = None) -> GraphSpec:
-    """Read an edge-list file; vertex count defaults to the largest label."""
+def load_graph(path) -> GraphSpec:
+    """Read an edge-list file; the vertex count is the largest label."""
     edges = []
     with open(path) as fh:
         for line in fh:
@@ -239,8 +244,6 @@ def load_graph(path, v: int | None = None) -> GraphSpec:
             if len(parts) != 2:
                 raise ValidationError(f"bad edge line {line!r}")
             edges.append((int(parts[0]), int(parts[1])))
-    if not edges and v is None:
-        raise ValidationError("empty edge list and no vertex count given")
-    if v is None:
-        v = max(max(e) for e in edges)
-    return GraphSpec.from_edges(v, edges)
+    if not edges:
+        raise ValidationError("empty edge list")
+    return GraphSpec.from_edges(max(max(e) for e in edges), edges)

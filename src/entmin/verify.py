@@ -19,13 +19,14 @@ from . import entopt, gf2uniform, kpolytope, states
 from .entopt import OptConfig
 from .hilbert import (
     ProductBasis,
+    _reduced_states,
     _rotate_all,
     identity_basis,
     outcome_distribution,
-    partial_trace,
     random_state,
     shannon_entropy,
 )
+from .indexing import parties_to_axes
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
@@ -76,23 +77,23 @@ def _wrap(suite: str, checks: list, t0: float, max_seconds: float | None = None)
     }
 
 
-def bipartite_suite(n_states: int = 50, restarts: int = 20) -> dict:
-    """Optimizer vs the exact Schmidt answer on random two-party states."""
+def bipartite_suite() -> dict:
+    """Optimizer vs the exact Schmidt answer on 50 random two-party states."""
     t0 = time.perf_counter()
     worst_gap = 0.0
     worst_below = 0.0
-    for i in range(n_states):
+    for i in range(50):
         d = (2, 3, 4)[i % 3]
         psi = random_state(2, d, np.random.default_rng([101, i]))
         exact, _ = entopt.bipartite_exact(psi)
         # the marginal-eigenbasis restart already lands on the exact optimum
         # for two parties, so slow random restarts get a modest sweep budget
-        cfg = OptConfig(restarts=restarts, max_sweeps=30, tol=1e-12, seed=500 + i)
+        cfg = OptConfig(restarts=20, max_sweeps=30, tol=1e-12, seed=500 + i)
         res = entopt.minimize_entropy(psi, cfg)
         worst_gap = max(worst_gap, abs(res.s_upper - exact))
         worst_below = max(worst_below, exact - res.s_upper)
     checks = [
-        _close(f"max |s_upper - schmidt| over {n_states} states, d in 2..4",
+        _close("max |s_upper - schmidt| over 50 states, d in 2..4",
                worst_gap, 0.0, 1e-4),
         _below("max (schmidt - s_upper), must not undercut the exact value",
                worst_below, 1e-9),
@@ -171,7 +172,7 @@ def best_hexacode_basis() -> ProductBasis:
     return ProductBasis(6, 2, (HADAMARD, eye, eye, eye, eye, HADAMARD))
 
 
-def hexacode_suite(restarts: int = 24, seed: int = 7) -> dict:
+def hexacode_suite() -> dict:
     """The 6-qubit graph state: S = 4 with matching upper and lower bounds."""
     t0 = time.perf_counter()
     g = states.hexacode_graph()
@@ -187,13 +188,11 @@ def hexacode_suite(restarts: int = 24, seed: int = 7) -> dict:
 
     # (b) every balanced-bipartition representative is maximally mixed
     eye8 = np.eye(8) / 8.0
-    worst = 0.0
-    for rest in itertools.combinations(range(2, 7), 2):
-        w = (1,) + rest
-        via_trace = partial_trace(psi, w).mat
-        via_blocks = gf2uniform.graph_reduced_density(g, w).mat
-        worst = max(worst, float(np.max(np.abs(via_trace - eye8))),
-                    float(np.max(np.abs(via_blocks - eye8))))
+    reps = [(1,) + rest for rest in itertools.combinations(range(2, 7), 2)]
+    via_trace = _reduced_states(psi.tensor(), [parties_to_axes(w, 6) for w in reps])
+    via_blocks = np.array([gf2uniform.graph_reduced_density(g, w).mat for w in reps])
+    worst = max(float(np.max(np.abs(via_trace - eye8))),
+                float(np.max(np.abs(via_blocks - eye8))))
     mixed = _below("10 bipartition reps: max |rho_w - I/8|, both paths", worst, 1e-12)
     checks.append(mixed)
 
@@ -202,14 +201,14 @@ def hexacode_suite(restarts: int = 24, seed: int = 7) -> dict:
                          gf2uniform.min_stabilizer_weight(g), 4, 0))
 
     # (d) optimizer outcome distributions are 3-uniform
-    cfg = OptConfig(restarts=restarts, max_sweeps=120, tol=1e-12, seed=seed)
+    cfg = OptConfig(restarts=24, max_sweeps=120, tol=1e-12, seed=7)
     res = entopt.minimize_entropy(psi, cfg)
     dists = [outcome_distribution(psi, res.basis)]
     for k in range(5):
         rng = np.random.default_rng([909, k])
         us = tuple(entopt._haar_unitary(2, rng) for _ in range(6))
         dists.append(outcome_distribution(psi, ProductBasis(6, 2, us)))
-    wt = gf2uniform._hamming_weights(64, 6)
+    wt = gf2uniform._hamming_weights(6)
     worst_q = 0.0
     for p in dists:
         q = gf2uniform.fourier(gf2uniform.BitDistribution(6, p))

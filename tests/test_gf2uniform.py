@@ -134,6 +134,13 @@ def test_gf2_rank_against_oracle(rng):
         arr = rng.integers(0, 2, size=(r, c))
         assert gf2_rank(arr) == gf2_rank_oracle(arr.tolist())
         assert gf2_rank(Gf2Matrix.from_array(arr)) == gf2_rank_oracle(arr.tolist())
+    # no rows, and rows past 64 columns, which no machine word holds; the
+    # low-rank products reach deficient ranks
+    for r, c in ((0, 5), (5, 64), (64, 65), (70, 130), (130, 70)):
+        inner = max(1, min(r, c) // 2)
+        low = (rng.integers(0, 2, size=(r, inner)) @ rng.integers(0, 2, size=(inner, c))) % 2
+        for arr in (rng.integers(0, 2, size=(r, c)), low):
+            assert gf2_rank(arr) == gf2_rank_oracle(arr.tolist())
 
 
 def test_bipartition_blocks_prism():

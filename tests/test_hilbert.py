@@ -8,6 +8,7 @@ from entmin.hilbert import (
     DensityMatrix,
     ProductBasis,
     PureState,
+    _reduced_states,
     embed_local_dims,
     identity_basis,
     load_state,
@@ -88,15 +89,45 @@ def test_shannon_entropy_basics():
 
 
 def test_partial_trace_against_dense_oracle(rng):
-    psi = random_state(3, 2, rng)
-    rho = partial_trace(psi, (1, 3))
-    # plain loops keep the oracle independent of any index juggling
-    oracle = np.zeros((4, 4), dtype=complex)
-    for a, b, c, e in itertools.product(range(2), repeat=4):
-        for j in range(2):
-            oracle[a * 2 + b, c * 2 + e] += (
-                psi.tensor()[a, j, b] * np.conj(psi.tensor()[c, j, e]))
-    assert np.allclose(rho.mat, oracle, atol=1e-12)
+    # plain loops over digit strings keep the oracle independent of any
+    # index juggling; the subset scan shares partial_trace's kernel, so
+    # this is that kernel's independent check
+    for n, d in ((4, 2), (3, 3)):
+        psi = random_state(n, d, rng)
+        t = psi.tensor()
+        for size in range(1, n):
+            for keep in itertools.combinations(range(n), size):
+                rest = tuple(a for a in range(n) if a not in keep)
+                kept = list(itertools.product(range(d), repeat=size))
+                oracle = np.zeros((len(kept), len(kept)), dtype=complex)
+                for (i, x), (k, y) in itertools.product(enumerate(kept), repeat=2):
+                    for z in itertools.product(range(d), repeat=n - size):
+                        left = dict(zip(keep + rest, x + z))
+                        right = dict(zip(keep + rest, y + z))
+                        oracle[i, k] += (t[tuple(left[a] for a in range(n))]
+                                         * np.conj(t[tuple(right[a] for a in range(n))]))
+                rho = partial_trace(psi, [a + 1 for a in keep])
+                assert np.allclose(rho.mat, oracle, atol=1e-12), (n, d, keep)
+
+
+def test_reduced_states_match_partial_trace_bitwise(rng):
+    for n, d in ((4, 2), (3, 3), (5, 2)):
+        psi = random_state(n, d, rng)
+        for size in range(1, n):
+            # subsets out of order, each stacked with others of its size
+            subsets = list(itertools.combinations(range(n), size))[::-1]
+            for x, rho in zip(subsets, _reduced_states(psi.tensor(), subsets)):
+                assert np.array_equal(rho, partial_trace(psi, [a + 1 for a in x]).mat)
+
+
+def test_density_checks_reject_non_hermitian_and_bad_trace(rng):
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        DensityMatrix(2, np.array([[0.5, 0.1], [0.0, 0.5]]))
+    with pytest.raises(ValidationError, match="trace"):
+        DensityMatrix(2, np.eye(2) / 4)
+    t = random_state(3, 2, rng).tensor()
+    with pytest.raises(ValidationError, match="trace"):
+        _reduced_states(1.001 * t, [(0,), (1,), (2,)])
 
 
 def test_partial_trace_requires_proper_subset(rng):
