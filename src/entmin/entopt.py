@@ -11,9 +11,11 @@ Restarts run in lockstep, so each probe is one array operation over all of
 them.
 
 Upper bounds come from the search; rigorous lower bounds from subset von
-Neumann entropies.  The product-overlap bound is heuristic unless the found
-overlap is corroborated by an analytic value, so it is reported in its own
-field and never raises the rigorous s_lower.
+Neumann entropies and, for 6-qubit states whose 3-qubit blocks are all
+maximally mixed, from the 3-uniform polytope floor.  The product-overlap
+bound is heuristic unless the found overlap is corroborated by an analytic
+value, so it is reported in its own field and never raises the rigorous
+s_lower.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kpolytope
 from .errors import EntminError, ValidationError
 from .hilbert import (
     ProductBasis,
@@ -326,6 +329,26 @@ def best_subset_lower_bound(psi: PureState):
                     best = val
                     witness = tuple(a + 1 for a in x)
     return best, witness
+
+
+def polytope_floor(psi: PureState) -> float | None:
+    """Entropy floor of every product-basis measurement of psi, from the
+    3-uniform outcome polytope: 4.0, or None if the inf6 chain fails.
+
+    The floor holds only for 6-qubit states whose twenty 3-qubit blocks
+    are all within 1e-9 of I/8 (then every product-basis outcome
+    distribution is 3-uniform); any other state raises ValidationError.
+    """
+    if psi.n != 6 or psi.d != 2:
+        raise ValidationError("the polytope floor needs a 6-party qubit state")
+    blocks = list(itertools.combinations(range(6), 3))
+    rho = _reduced_states(psi.tensor(), blocks)
+    for x, dev in zip(blocks, np.max(np.abs(rho - np.eye(8) / 8.0), axis=(1, 2))):
+        if dev > 1e-9:
+            raise ValidationError(
+                f"block {tuple(a + 1 for a in x)} is not maximally mixed "
+                f"(deviation {dev:.3g})")
+    return kpolytope.verify_inf6_chain()["inf6"]
 
 
 def bipartite_exact(psi: PureState):

@@ -64,13 +64,6 @@ class BitDistribution:
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 
-    @classmethod
-    def from_state(cls, psi: PureState) -> "BitDistribution":
-        """Standard-basis outcome distribution of a qubit state."""
-        if psi.d != 2:
-            raise ValidationError("bit distributions need d = 2")
-        return cls(psi.n, np.abs(psi.amp) ** 2)
-
 
 def walsh_transform(values: np.ndarray) -> np.ndarray:
     """Raw Walsh butterfly on a fresh float copy, O(n 2^n); self-inverse

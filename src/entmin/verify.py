@@ -216,10 +216,10 @@ def hexacode_suite() -> dict:
     checks.append(_below("outcome distributions: max low-weight Fourier component",
                          worst_q, 1e-9))
 
-    # (e) bracket [4, 4 + 1e-6]: lower bound from the polytope chain
-    chain = kpolytope.verify_inf6_chain(samples=10, seed=5)
+    # (e) bracket [4, 4 + 1e-6]: lower bound from the polytope floor
+    floor = entopt.polytope_floor(psi) if mixed["passed"] else None
     checks.append(_flag("polytope chain (inf over 3-uniform members = 4)",
-                        bool(chain["passed"]) and mixed["passed"]))
+                        floor == 4.0))
     checks.append(_below("s_upper - 4", res.s_upper - 4.0, 1e-6))
     checks.append(_below("4 - s_upper (upper bound stays above the truth)",
                          4.0 - res.s_upper, 1e-9))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,9 +9,10 @@ import sys
 import numpy as np
 import pytest
 
+from entmin import entopt, kpolytope
 from entmin.cli import main
 from entmin.hilbert import load_state
-from entmin.states import determinant_state
+from entmin.states import determinant_state, ghz, hexacode_state
 from entmin.hilbert import save_state
 
 
@@ -110,6 +112,78 @@ def test_entropy_polytope_bound_rejects_other_states(tmp_path):
     assert run(["state", "build", "ghz", "--n", "3",
                 "--out", str(state_file)]) == 0
     assert run(["entropy", str(state_file), "--polytope-bound"]) == 2
+
+
+REPORT_KEYS = ["manifest", "s_upper", "s_lower", "lower_bound_witness",
+               "s_lower_heuristic", "basis", "converged", "restarts_agreeing",
+               "seed", "witness_basis_path"]
+CSV_FIELDS = ["s_upper", "s_lower", "lower_bound_witness", "s_lower_heuristic",
+              "witness_basis_path", "converged", "restarts_agreeing", "seed"]
+
+
+def hexacode_file(tmp_path):
+    state_file = tmp_path / "hexa.json"
+    save_state(hexacode_state(), state_file)
+    return str(state_file)
+
+
+@pytest.mark.parametrize("extra, keys", [
+    ([], REPORT_KEYS),
+    (["--polytope-bound"], REPORT_KEYS + ["polytope_chain_passed"]),
+])
+def test_entropy_report_key_order(tmp_path, capsys, extra, keys):
+    state = hexacode_file(tmp_path)
+    assert run(["entropy", state, "--restarts", "3", "--out", "-"] + extra) == 0
+    assert list(json.loads(capsys.readouterr().out)) == keys
+    out = tmp_path / "report.csv"
+    assert run(["entropy", state, "--restarts", "3", "--format", "csv",
+                "--out", str(out)] + extra) == 0
+    rows = list(csv.reader(l for l in out.read_text().splitlines()
+                           if not l.startswith("#")))
+    assert rows[0] == ["field", "value"]
+    assert [r[0] for r in rows[1:]] == CSV_FIELDS
+
+
+def test_entropy_polytope_bound_rejects_unmixed_block_before_optimizing(
+        tmp_path, monkeypatch, capsys):
+    state_file = tmp_path / "ghz6.json"
+    save_state(ghz(6, 2), state_file)
+
+    def no_optimizer(*args, **kwargs):
+        raise AssertionError("the optimizer ran on rejected input")
+
+    monkeypatch.setattr(entopt, "minimize_entropy", no_optimizer)
+    assert run(["entropy", str(state_file), "--polytope-bound"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: block (1, 2, 3) is not maximally mixed")
+
+
+def test_entropy_polytope_bound_keeps_subset_bound_when_chain_fails(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(kpolytope, "verify_inf6_chain",
+                        lambda: {"links": {}, "inf6": None, "passed": False})
+    assert run(["entropy", hexacode_file(tmp_path), "--restarts", "3",
+                "--polytope-bound", "--out", "-"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    value, subset = entopt.best_subset_lower_bound(hexacode_state())
+    assert rep["s_lower"] == value
+    assert rep["lower_bound_witness"] == f"subset {subset}"
+    assert rep["polytope_chain_passed"] is False
+
+
+def test_entropy_polytope_bound_above_upper_bound_exits_1(
+        tmp_path, monkeypatch, capsys):
+    orig = entopt.minimize_entropy
+
+    def low_upper(*args, **kwargs):
+        return dataclasses.replace(orig(*args, **kwargs), s_upper=3.5)
+
+    monkeypatch.setattr(entopt, "minimize_entropy", low_upper)
+    assert run(["entropy", hexacode_file(tmp_path), "--restarts", "3",
+                "--polytope-bound", "--out", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lower bound 4.0 exceeds upper bound 3.5\n"
 
 
 def test_verify_ghz_lines(capsys):

@@ -16,6 +16,7 @@ from entmin.entopt import (
     entropy_for_bases,
     max_product_overlap,
     minimize_entropy,
+    polytope_floor,
     result_to_dict,
     result_to_json,
     subset_lower_bound,
@@ -245,6 +246,28 @@ def test_subset_scan_rejects_eigenvalues_below_floor(monkeypatch):
     for psi in (seeded_state(4, 2, 5), ghz(3, 2)):
         with pytest.raises(ValidationError):
             best_subset_lower_bound(psi)
+
+
+def test_polytope_floor_on_hexacode():
+    assert polytope_floor(hexacode_state()) == 4.0
+
+
+def test_polytope_floor_rejects_other_shapes():
+    with pytest.raises(ValidationError, match="6-party qubit"):
+        polytope_floor(seeded_state(3, 2, 1))
+
+
+def test_polytope_floor_names_the_first_mixed_block_that_fails():
+    with pytest.raises(ValidationError, match=r"block \(1, 2, 3\) is not maximally mixed"):
+        polytope_floor(ghz(6, 2))
+
+
+def test_polytope_floor_is_none_when_the_chain_fails(monkeypatch):
+    from entmin import kpolytope
+
+    monkeypatch.setattr(kpolytope, "verify_inf6_chain",
+                        lambda: {"links": {}, "inf6": None, "passed": False})
+    assert polytope_floor(hexacode_state()) is None
 
 
 def test_max_product_overlap_bipartite_oracle(rng):
