@@ -11,11 +11,13 @@ Restarts run in lockstep, so each probe is one array operation over all of
 them.
 
 Upper bounds come from the search; rigorous lower bounds from subset von
-Neumann entropies and, for 6-qubit states whose 3-qubit blocks are all
-maximally mixed, from the 3-uniform polytope floor.  The product-overlap
-bound is heuristic unless the found overlap is corroborated by an analytic
-value, so it is reported in its own field and never raises the rigorous
-s_lower.
+Neumann entropies and from certificates that refuse what they cannot
+prove: for 6-qubit states whose 3-qubit blocks are all maximally mixed,
+the 3-uniform polytope floor, and for antisymmetric states, log2(n!).
+A search given a rigorous floor stops once a restart reaches it.  The
+product-overlap bound is heuristic unless the found overlap is
+corroborated by an analytic value, so it is reported in its own field and
+never raises the rigorous s_lower.
 """
 
 from __future__ import annotations
@@ -43,8 +45,11 @@ from .hilbert import (
     von_neumann_entropy,
 )
 from .indexing import MAX_AMPLITUDES
+from .states import log2_factorial
 
 AGREE_TOL = 1e-6
+# a search closes when its best entropy is within this of its floor
+CLOSE_TOL = 1e-9
 # stacked amplitudes per batched Gram product and eigvalsh in the subset
 # scan; each subset's reshaped amplitude matrix holds d**n of them
 SUBSET_STACK_AMPLITUDES = 1 << 16
@@ -73,6 +78,16 @@ class OptConfig:
 
 @dataclass(frozen=True, eq=False)
 class OptResult:
+    """Bracket [s_lower, s_upper] with the basis that attains s_upper.
+
+    ``converged`` is True when the best restart passed its own convergence
+    test, or when the search closed: its best entropy came within
+    CLOSE_TOL of a rigorous floor, so the basis is optimal to that
+    tolerance.  ``restarts_agreeing`` counts the restarts within AGREE_TOL
+    of the best, among those that ran; a closed search skips the batches
+    it had not started.
+    """
+
     s_upper: float
     basis: ProductBasis
     s_lower: float
@@ -227,7 +242,13 @@ def _batch_size(n: int, d: int, restarts: int) -> int:
     return max(1, min(restarts, MAX_AMPLITUDES // d**n))
 
 
-def _run_lockstep(t: np.ndarray, us: np.ndarray, cfg: OptConfig):
+def _closes(h: np.ndarray, close_at: float | None) -> bool:
+    """Whether the best of the entropies h is within CLOSE_TOL of close_at."""
+    return close_at is not None and bool(h.min() <= close_at + CLOSE_TOL)
+
+
+def _run_lockstep(t: np.ndarray, us: np.ndarray, cfg: OptConfig,
+                  close_at: float | None = None):
     """Alternating minimization from k starting bases us (k, n, d, d) at once.
 
     Each sweep rotates the tensor of every unconverged start once from
@@ -236,8 +257,9 @@ def _run_lockstep(t: np.ndarray, us: np.ndarray, cfg: OptConfig):
     from it without contracting again.  Each start keeps its own step size,
     stall count and convergence flag, and leaves the batch when it
     converges, so its arithmetic does not depend on the other starts.
-    Returns per-start entropies (k,), bases (k, n, d, d), convergence flags
-    and sweeps used.
+    With close_at, the batch stops after the first sweep that leaves its
+    best entropy within CLOSE_TOL of it.  Returns per-start entropies (k,),
+    bases (k, n, d, d), convergence flags and sweeps used.
     """
     k, n, d = us.shape[:3]
     ws = us.conj().transpose(0, 1, 3, 2)
@@ -269,6 +291,8 @@ def _run_lockstep(t: np.ndarray, us: np.ndarray, cfg: OptConfig):
         stalls[act] = np.where(stall, stalls[act] + 1, 0)
         converged[act] = stalls[act] >= 3
         step[act] = np.where(stall & ~converged[act], step[act] * 0.15, step[act])
+        if _closes(h_cur, close_at):
+            break
     return h_cur, ws.conj().transpose(0, 1, 3, 2), converged, sweeps
 
 
@@ -351,6 +375,35 @@ def polytope_floor(psi: PureState) -> float | None:
     return kpolytope.verify_inf6_chain()["inf6"]
 
 
+def antisymmetric_floor(psi: PureState) -> float | None:
+    """Entropy floor log2(n!) - log2|psi|^2 of every product-basis
+    measurement of an antisymmetric psi, or None.
+
+    If psi changes sign under every swap of two parties, then for unit
+    vectors phi_i, <phi_1..phi_n|psi> = <A phi|psi> with A the
+    antisymmetrizer, and |A phi|^2 = det(Gram(phi_i)) / n! <= 1/n! by
+    Hadamard's inequality.  So every outcome has probability at most
+    |psi|^2 / n!, and H(p) >= -log2 max p.  The adjacent swaps generate
+    every permutation, so psi must equal minus its image under each of
+    them exactly; the first nonzero defect gives None.  With d < n no
+    nonzero state is antisymmetric, and None comes without any work.
+    The value is rounded down by 1e-12.
+    """
+    n = psi.n
+    if psi.d < n:
+        return None
+    t = psi.tensor()
+    neg = -t
+    for a in range(n - 1):
+        if not np.array_equal(np.swapaxes(t, a, a + 1), neg):
+            return None
+    norm2 = float(np.vdot(psi.amp, psi.amp).real)
+    # d >= n keeps n <= 7 under the amplitude cap, so log2_factorial sums
+    # at most 6 terms below 3 bits, each within an ulp: 1e-12 covers their
+    # rounding and that of log2(norm2)
+    return log2_factorial(n) - math.log2(norm2) - 1e-12
+
+
 def bipartite_exact(psi: PureState):
     """Exact two-party answer: Schmidt entropy and the diagonalizing bases."""
     if psi.n != 2:
@@ -416,23 +469,42 @@ def max_product_overlap(psi: PureState, cfg: OptConfig = OptConfig(),
 
 
 def minimize_entropy(psi: PureState, cfg: OptConfig = OptConfig(),
-                     include_overlap_bound: bool = False) -> OptResult:
+                     include_overlap_bound: bool = False,
+                     stop_at: float | None = None) -> OptResult:
     """Multi-restart alternating minimization of the outcome entropy.
 
     Restart 0 starts from identity bases, restart 1 from the marginal
     eigenbases (exact for two parties), the rest from seeded Haar draws.
     The restarts run in lockstep, as many at once as fit in MAX_AMPLITUDES
     stacked amplitudes; each follows its own step size and convergence
-    test, so the result is deterministic given cfg.seed and does not depend
-    on how the restarts are batched.  s_lower is the best subset bound;
+    test, so the result is deterministic given cfg.seed and, without
+    stop_at, does not depend on how the restarts are batched.  s_lower is
+    the best subset bound, scanned before the search;
     include_overlap_bound adds the product-overlap bound as
     s_lower_heuristic.
+
+    stop_at is a rigorous entropy floor supplied by the caller (0.0 when
+    there is none).  The search then closes at max(stop_at, s_lower): it
+    stops after the first sweep whose best entropy is within CLOSE_TOL of
+    that, and skips the batches it has not started.  The rule counts
+    sweeps, not time, so results stay bitwise reproducible; they may
+    depend on the batching, which MAX_AMPLITUDES fixes.  A closed search
+    reports converged = True, and restarts_agreeing counts only the
+    restarts that ran.  stop_at does not enter s_lower: a caller that
+    trusts its floor applies it to the result itself.
     """
+    s_lower, subset = best_subset_lower_bound(psi)
+    witness = f"subset {subset}" if subset else "none"
+    close_at = None if stop_at is None else max(stop_at, s_lower)
+
     starts = np.array([_initial_bases(psi, r, cfg.seed) for r in range(cfg.restarts)])
     t = psi.tensor()
     batch = _batch_size(psi.n, psi.d, cfg.restarts)
-    runs = [_run_lockstep(t, starts[i:i + batch], cfg)
-            for i in range(0, cfg.restarts, batch)]
+    runs = []
+    for i in range(0, cfg.restarts, batch):
+        runs.append(_run_lockstep(t, starts[i:i + batch], cfg, close_at))
+        if _closes(runs[-1][0], close_at):
+            break
     h, us, converged, _ = (np.concatenate(parts) for parts in zip(*runs))
     best = int(np.argmin(h))
     agreeing = int(np.sum(h - h[best] <= AGREE_TOL))
@@ -440,8 +512,6 @@ def minimize_entropy(psi: PureState, cfg: OptConfig = OptConfig(),
     basis = _canonical_basis(psi.n, psi.d, us[best])
     s_upper = entropy_for_bases(psi, basis)
 
-    s_lower, subset = best_subset_lower_bound(psi)
-    witness = f"subset {subset}" if subset else "none"
     heuristic = None
     if include_overlap_bound:
         p = outcome_distribution(psi, basis)
@@ -451,7 +521,8 @@ def minimize_entropy(psi: PureState, cfg: OptConfig = OptConfig(),
         m_star = max_product_overlap(psi, cfg, extra_seeds=seed_vecs)
         heuristic = -math.log2(max(m_star, 1e-300))
     return OptResult(s_upper, basis, s_lower, witness,
-                     bool(converged[best]), agreeing, cfg.seed, heuristic)
+                     bool(converged[best]) or _closes(h, close_at), agreeing,
+                     cfg.seed, heuristic)
 
 
 def result_to_dict(res: OptResult) -> dict:

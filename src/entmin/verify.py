@@ -102,11 +102,12 @@ def bipartite_suite() -> dict:
 
 
 def ghz_suite() -> dict:
-    """Three-qubit GHZ: tight bracket at 1 bit."""
+    """Three-qubit GHZ: tight bracket at 1 bit; the search closes at the
+    subset bound."""
     t0 = time.perf_counter()
     psi = states.ghz(3, 2)
     res = entopt.minimize_entropy(psi, OptConfig(restarts=6, max_sweeps=60,
-                                                 tol=1e-12, seed=3))
+                                                 tol=1e-12, seed=3), stop_at=0.0)
     checks = [
         _close("single-qubit subset lower bound",
                entopt.subset_lower_bound(psi, (1,)), 1.0, 1e-12),
@@ -123,7 +124,8 @@ def _su_random(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def det_suite() -> dict:
-    """Antisymmetric states: entropy log2(n!), overlap 1/n!, singlet invariance."""
+    """Antisymmetric states: entropy log2(n!), bracketed by the antisymmetric
+    floor and a search that closes on it; overlap 1/n!, singlet invariance."""
     t0 = time.perf_counter()
     checks = []
     for n in (2, 3, 4):
@@ -132,10 +134,17 @@ def det_suite() -> dict:
         h_std = entopt.entropy_for_bases(psi, identity_basis(n, n))
         checks.append(_close(f"n={n} standard-basis entropy vs log2({n}!)",
                              h_std, target, 1e-12))
+        floor = entopt.antisymmetric_floor(psi)
         res = entopt.minimize_entropy(psi, OptConfig(restarts=12, max_sweeps=60,
-                                                     tol=1e-12, seed=40 + n))
+                                                     tol=1e-12, seed=40 + n),
+                                      stop_at=floor)
         checks.append(_below(f"n={n} optimizer s_upper - log2({n}!)",
                              res.s_upper - target, 1e-3))
+        lower = -math.inf if floor is None else floor
+        checks.append(_close(f"n={n} antisymmetric floor vs log2({n}!)",
+                             lower, target, 1e-9))
+        checks.append(_below(f"n={n} bracket width s_upper - floor",
+                             res.s_upper - lower, 1e-9))
         overlap = entopt.max_product_overlap(psi, OptConfig(restarts=6, max_sweeps=80,
                                                             tol=1e-14, seed=60 + n))
         checks.append(_close(f"n={n} max product overlap vs 1/{n}!",
@@ -147,7 +156,7 @@ def det_suite() -> dict:
             dev = max(dev, float(np.linalg.norm(moved.reshape(-1) - psi.amp)))
         checks.append(_below(f"n={n} max |V^(x{n}) psi - psi| over 3 special unitaries",
                              dev, 1e-9))
-    return _wrap("det", checks, t0, max_seconds=300.0)
+    return _wrap("det", checks, t0, max_seconds=10.0)
 
 
 def gdet_table1_suite() -> dict:

@@ -114,11 +114,51 @@ def test_entropy_polytope_bound_rejects_other_states(tmp_path):
     assert run(["entropy", str(state_file), "--polytope-bound"]) == 2
 
 
+def record_stop_at(monkeypatch):
+    """Wrap entopt.minimize_entropy; the list gets each call's stop_at."""
+    targets = []
+    orig = entopt.minimize_entropy
+
+    def recording(*args, **kwargs):
+        targets.append(kwargs["stop_at"])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(entopt, "minimize_entropy", recording)
+    return targets
+
+
+def test_entropy_applies_the_antisymmetric_floor(tmp_path, capsys, monkeypatch):
+    state_file = tmp_path / "det4.json"
+    save_state(determinant_state(4), state_file)
+    targets = record_stop_at(monkeypatch)
+    assert run(["entropy", str(state_file), "--out", "-"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert abs(rep["s_lower"] - math.log2(24)) <= 1e-11
+    assert rep["lower_bound_witness"] == "antisymmetric state, entropy floor log2(4!)"
+    assert abs(rep["s_upper"] - math.log2(24)) <= 1e-9
+    assert rep["converged"] is True
+    assert targets == [rep["s_lower"]]
+
+
+def test_entropy_without_certificate_closes_at_the_subset_bound(
+        tmp_path, capsys, monkeypatch):
+    state_file = tmp_path / "ghz.json"
+    save_state(ghz(3, 2), state_file)
+    targets = record_stop_at(monkeypatch)
+    assert run(["entropy", str(state_file), "--out", "-"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert targets == [0.0]
+    assert rep["lower_bound_witness"] == "subset (1,)"
+    assert abs(rep["s_upper"] - 1.0) <= 1e-9
+
+
 REPORT_KEYS = ["manifest", "s_upper", "s_lower", "lower_bound_witness",
                "s_lower_heuristic", "basis", "converged", "restarts_agreeing",
                "seed", "witness_basis_path"]
+# the CSV rows, in order; polytope_chain_passed only with --polytope-bound
 CSV_FIELDS = ["s_upper", "s_lower", "lower_bound_witness", "s_lower_heuristic",
-              "witness_basis_path", "converged", "restarts_agreeing", "seed"]
+              "witness_basis_path", "polytope_chain_passed", "converged",
+              "restarts_agreeing", "seed"]
 
 
 def hexacode_file(tmp_path):
@@ -141,7 +181,7 @@ def test_entropy_report_key_order(tmp_path, capsys, extra, keys):
     rows = list(csv.reader(l for l in out.read_text().splitlines()
                            if not l.startswith("#")))
     assert rows[0] == ["field", "value"]
-    assert [r[0] for r in rows[1:]] == CSV_FIELDS
+    assert [r[0] for r in rows[1:]] == [k for k in CSV_FIELDS if k in keys]
 
 
 def test_entropy_polytope_bound_rejects_unmixed_block_before_optimizing(
