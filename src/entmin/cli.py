@@ -144,21 +144,18 @@ def cmd_entropy(args) -> int:
         psi = embed_local_dims(psi, args.embed_dim)
 
     floor = entopt.polytope_floor(psi) if args.polytope_bound else None
-    # (floor, witness) of every certificate that applies; the search
-    # closes at the highest, or at the subset bound when there is none
-    certified = [(value, witness) for value, witness in (
-        (floor, "3-uniform outcome polytope, entropy floor 4"),
-        (entopt.antisymmetric_floor(psi),
-         f"antisymmetric state, entropy floor log2({psi.n}!)"),
-    ) if value is not None]
-    stop_at, named = max(certified, default=(0.0, None))
-
     cfg = OptConfig(restarts=args.restarts, max_sweeps=args.max_sweeps,
                     tol=args.tol, seed=args.seed)
     res = entopt.minimize_entropy(psi, cfg, include_overlap_bound=args.overlap_bound,
-                                  stop_at=stop_at)
-    if stop_at > res.s_lower:
-        res = replace(res, s_lower=stop_at, lower_bound_witness=named)
+                                  stop_at=floor or 0.0)
+    # the search closes on either certificate but reports the subset bound;
+    # the two never apply to the same state
+    for value, named in (
+            (floor, "3-uniform outcome polytope, entropy floor 4"),
+            (entopt.antisymmetric_floor(psi),
+             f"antisymmetric state, entropy floor log2({psi.n}!)")):
+        if value is not None and value > res.s_lower:
+            res = replace(res, s_lower=value, lower_bound_witness=named)
     report = entopt.result_to_dict(res)
 
     report["witness_basis_path"] = args.basis_out

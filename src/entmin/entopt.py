@@ -14,7 +14,7 @@ Upper bounds come from the search; rigorous lower bounds from subset von
 Neumann entropies and from certificates that refuse what they cannot
 prove: for 6-qubit states whose 3-qubit blocks are all maximally mixed,
 the 3-uniform polytope floor, and for antisymmetric states, log2(n!).
-A search given a rigorous floor stops once a restart reaches it.  The
+The search stops once a restart reaches the highest floor it knows.  The
 product-overlap bound is heuristic unless the found overlap is
 corroborated by an analytic value, so it is reported in its own field and
 never raises the rigorous s_lower.
@@ -242,13 +242,8 @@ def _batch_size(n: int, d: int, restarts: int) -> int:
     return max(1, min(restarts, MAX_AMPLITUDES // d**n))
 
 
-def _closes(h: np.ndarray, close_at: float | None) -> bool:
-    """Whether the best of the entropies h is within CLOSE_TOL of close_at."""
-    return close_at is not None and bool(h.min() <= close_at + CLOSE_TOL)
-
-
 def _run_lockstep(t: np.ndarray, us: np.ndarray, cfg: OptConfig,
-                  close_at: float | None = None):
+                  close_at: float = 0.0):
     """Alternating minimization from k starting bases us (k, n, d, d) at once.
 
     Each sweep rotates the tensor of every unconverged start once from
@@ -257,9 +252,10 @@ def _run_lockstep(t: np.ndarray, us: np.ndarray, cfg: OptConfig,
     from it without contracting again.  Each start keeps its own step size,
     stall count and convergence flag, and leaves the batch when it
     converges, so its arithmetic does not depend on the other starts.
-    With close_at, the batch stops after the first sweep that leaves its
-    best entropy within CLOSE_TOL of it.  Returns per-start entropies (k,),
-    bases (k, n, d, d), convergence flags and sweeps used.
+    close_at is a rigorous entropy floor: the batch stops after the first
+    sweep that leaves its best entropy within CLOSE_TOL of it.  Returns
+    per-start entropies (k,), bases (k, n, d, d), convergence flags,
+    sweeps used, and whether the batch closed.
     """
     k, n, d = us.shape[:3]
     ws = us.conj().transpose(0, 1, 3, 2)
@@ -269,6 +265,7 @@ def _run_lockstep(t: np.ndarray, us: np.ndarray, cfg: OptConfig,
     converged = np.zeros(k, dtype=bool)
     sweeps = np.zeros(k, dtype=np.int64)
     dq = d ** (n - 1)
+    closed = False
     for _ in range(cfg.max_sweeps):
         act = np.flatnonzero(~converged)
         if act.size == 0:
@@ -291,9 +288,10 @@ def _run_lockstep(t: np.ndarray, us: np.ndarray, cfg: OptConfig,
         stalls[act] = np.where(stall, stalls[act] + 1, 0)
         converged[act] = stalls[act] >= 3
         step[act] = np.where(stall & ~converged[act], step[act] * 0.15, step[act])
-        if _closes(h_cur, close_at):
+        closed = bool(h_cur.min() <= close_at + CLOSE_TOL)
+        if closed:
             break
-    return h_cur, ws.conj().transpose(0, 1, 3, 2), converged, sweeps
+    return h_cur, ws.conj().transpose(0, 1, 3, 2), converged, sweeps, closed
 
 
 def _canonical_basis(psi_n: int, d: int, us) -> ProductBasis:
@@ -376,18 +374,20 @@ def polytope_floor(psi: PureState) -> float | None:
 
 
 def antisymmetric_floor(psi: PureState) -> float | None:
-    """Entropy floor log2(n!) - log2|psi|^2 of every product-basis
-    measurement of an antisymmetric psi, or None.
+    """Entropy floor log2(n!) of every product-basis measurement of an
+    antisymmetric psi, or None.
 
     If psi changes sign under every swap of two parties, then for unit
     vectors phi_i, <phi_1..phi_n|psi> = <A phi|psi> with A the
     antisymmetrizer, and |A phi|^2 = det(Gram(phi_i)) / n! <= 1/n! by
     Hadamard's inequality.  So every outcome has probability at most
-    |psi|^2 / n!, and H(p) >= -log2 max p.  The adjacent swaps generate
-    every permutation, so psi must equal minus its image under each of
-    them exactly; the first nonzero defect gives None.  With d < n no
-    nonzero state is antisymmetric, and None comes without any work.
-    The value is rounded down by 1e-12.
+    |psi|^2 / n!, a share of at most 1/n! of the total, and the
+    normalized distribution that entropy_for_bases measures has
+    H >= -log2 max >= log2(n!), whatever |psi|^2 within NORM_TOL.  The
+    adjacent swaps generate every permutation, so psi must equal minus
+    its image under each of them exactly; the first nonzero defect gives
+    None.  With d < n no nonzero state is antisymmetric, and None comes
+    without any work.  The value is rounded down by 1e-12.
     """
     n = psi.n
     if psi.d < n:
@@ -397,11 +397,9 @@ def antisymmetric_floor(psi: PureState) -> float | None:
     for a in range(n - 1):
         if not np.array_equal(np.swapaxes(t, a, a + 1), neg):
             return None
-    norm2 = float(np.vdot(psi.amp, psi.amp).real)
     # d >= n keeps n <= 7 under the amplitude cap, so log2_factorial sums
-    # at most 6 terms below 3 bits, each within an ulp: 1e-12 covers their
-    # rounding and that of log2(norm2)
-    return log2_factorial(n) - math.log2(norm2) - 1e-12
+    # at most 6 terms below 3 bits, each within an ulp: 1e-12 covers them
+    return log2_factorial(n) - 1e-12
 
 
 def bipartite_exact(psi: PureState):
@@ -470,32 +468,31 @@ def max_product_overlap(psi: PureState, cfg: OptConfig = OptConfig(),
 
 def minimize_entropy(psi: PureState, cfg: OptConfig = OptConfig(),
                      include_overlap_bound: bool = False,
-                     stop_at: float | None = None) -> OptResult:
+                     stop_at: float = 0.0) -> OptResult:
     """Multi-restart alternating minimization of the outcome entropy.
 
     Restart 0 starts from identity bases, restart 1 from the marginal
     eigenbases (exact for two parties), the rest from seeded Haar draws.
     The restarts run in lockstep, as many at once as fit in MAX_AMPLITUDES
     stacked amplitudes; each follows its own step size and convergence
-    test, so the result is deterministic given cfg.seed and, without
-    stop_at, does not depend on how the restarts are batched.  s_lower is
-    the best subset bound, scanned before the search;
-    include_overlap_bound adds the product-overlap bound as
-    s_lower_heuristic.
+    test, so the result is deterministic given cfg.seed.  s_lower is the
+    best subset bound, scanned before the search; include_overlap_bound
+    adds the product-overlap bound as s_lower_heuristic.
 
-    stop_at is a rigorous entropy floor supplied by the caller (0.0 when
-    there is none).  The search then closes at max(stop_at, s_lower): it
-    stops after the first sweep whose best entropy is within CLOSE_TOL of
-    that, and skips the batches it has not started.  The rule counts
-    sweeps, not time, so results stay bitwise reproducible; they may
-    depend on the batching, which MAX_AMPLITUDES fixes.  A closed search
-    reports converged = True, and restarts_agreeing counts only the
-    restarts that ran.  stop_at does not enter s_lower: a caller that
-    trusts its floor applies it to the result itself.
+    The search closes at the highest rigorous floor it knows: the subset
+    bound, the antisymmetric floor when psi has one, and stop_at, a floor
+    only the caller can supply (such as the polytope floor).  It stops
+    after the first sweep whose best entropy is within CLOSE_TOL of that
+    floor, and skips the batches it has not started.  The rule counts
+    sweeps, not time, so results stay bitwise reproducible; a search that
+    closes depends on the batching, which MAX_AMPLITUDES fixes.  A closed
+    search reports converged = True, and restarts_agreeing counts only
+    the restarts that ran.  Only the subset bound enters s_lower: a
+    caller that trusts another floor applies it to the result itself.
     """
     s_lower, subset = best_subset_lower_bound(psi)
     witness = f"subset {subset}" if subset else "none"
-    close_at = None if stop_at is None else max(stop_at, s_lower)
+    close_at = max(stop_at, s_lower, antisymmetric_floor(psi) or 0.0)
 
     starts = np.array([_initial_bases(psi, r, cfg.seed) for r in range(cfg.restarts)])
     t = psi.tensor()
@@ -503,9 +500,10 @@ def minimize_entropy(psi: PureState, cfg: OptConfig = OptConfig(),
     runs = []
     for i in range(0, cfg.restarts, batch):
         runs.append(_run_lockstep(t, starts[i:i + batch], cfg, close_at))
-        if _closes(runs[-1][0], close_at):
+        if runs[-1][4]:
             break
-    h, us, converged, _ = (np.concatenate(parts) for parts in zip(*runs))
+    h, us, converged = (np.concatenate([run[j] for run in runs]) for j in range(3))
+    closed = runs[-1][4]
     best = int(np.argmin(h))
     agreeing = int(np.sum(h - h[best] <= AGREE_TOL))
 
@@ -521,7 +519,7 @@ def minimize_entropy(psi: PureState, cfg: OptConfig = OptConfig(),
         m_star = max_product_overlap(psi, cfg, extra_seeds=seed_vecs)
         heuristic = -math.log2(max(m_star, 1e-300))
     return OptResult(s_upper, basis, s_lower, witness,
-                     bool(converged[best]) or _closes(h, close_at), agreeing,
+                     bool(converged[best]) or closed, agreeing,
                      cfg.seed, heuristic)
 
 

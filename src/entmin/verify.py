@@ -87,7 +87,8 @@ def bipartite_suite() -> dict:
         psi = random_state(2, d, np.random.default_rng([101, i]))
         exact, _ = entopt.bipartite_exact(psi)
         # the marginal-eigenbasis restart already lands on the exact optimum
-        # for two parties, so slow random restarts get a modest sweep budget
+        # for two parties, the subset bound, so the search closes after one
+        # sweep; the slow random restarts get a modest budget all the same
         cfg = OptConfig(restarts=20, max_sweeps=30, tol=1e-12, seed=500 + i)
         res = entopt.minimize_entropy(psi, cfg)
         worst_gap = max(worst_gap, abs(res.s_upper - exact))
@@ -107,7 +108,7 @@ def ghz_suite() -> dict:
     t0 = time.perf_counter()
     psi = states.ghz(3, 2)
     res = entopt.minimize_entropy(psi, OptConfig(restarts=6, max_sweeps=60,
-                                                 tol=1e-12, seed=3), stop_at=0.0)
+                                                 tol=1e-12, seed=3))
     checks = [
         _close("single-qubit subset lower bound",
                entopt.subset_lower_bound(psi, (1,)), 1.0, 1e-12),
@@ -136,8 +137,7 @@ def det_suite() -> dict:
                              h_std, target, 1e-12))
         floor = entopt.antisymmetric_floor(psi)
         res = entopt.minimize_entropy(psi, OptConfig(restarts=12, max_sweeps=60,
-                                                     tol=1e-12, seed=40 + n),
-                                      stop_at=floor)
+                                                     tol=1e-12, seed=40 + n))
         checks.append(_below(f"n={n} optimizer s_upper - log2({n}!)",
                              res.s_upper - target, 1e-3))
         lower = -math.inf if floor is None else floor

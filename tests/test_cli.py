@@ -137,7 +137,8 @@ def test_entropy_applies_the_antisymmetric_floor(tmp_path, capsys, monkeypatch):
     assert rep["lower_bound_witness"] == "antisymmetric state, entropy floor log2(4!)"
     assert abs(rep["s_upper"] - math.log2(24)) <= 1e-9
     assert rep["converged"] is True
-    assert targets == [rep["s_lower"]]
+    # minimize_entropy finds the antisymmetric floor itself
+    assert targets == [0.0]
 
 
 def test_entropy_without_certificate_closes_at_the_subset_bound(
@@ -150,6 +151,15 @@ def test_entropy_without_certificate_closes_at_the_subset_bound(
     assert targets == [0.0]
     assert rep["lower_bound_witness"] == "subset (1,)"
     assert abs(rep["s_upper"] - 1.0) <= 1e-9
+
+
+def test_entropy_polytope_bound_is_the_closing_target(tmp_path, capsys, monkeypatch):
+    targets = record_stop_at(monkeypatch)
+    assert run(["entropy", hexacode_file(tmp_path), "--restarts", "3",
+                "--polytope-bound", "--out", "-"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert targets == [4.0]
+    assert rep["converged"] is True and abs(rep["s_upper"] - 4.0) <= 1e-9
 
 
 REPORT_KEYS = ["manifest", "s_upper", "s_lower", "lower_bound_witness",

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 
@@ -123,12 +122,12 @@ def test_lockstep_result_does_not_depend_on_batch():
     psi = random_state(3, 2, np.random.default_rng(2026))
     cfg = OptConfig(max_sweeps=100)
     starts = np.array([_initial_bases(psi, r, cfg.seed) for r in (0, 2, 3)])
-    h, _, conv, sweeps = _run_lockstep(psi.tensor(), starts, cfg)
+    h, _, conv, sweeps, _ = _run_lockstep(psi.tensor(), starts, cfg)
     # the starts stop after different sweep counts, one at the sweep limit,
     # so the batch shrinks while the others run on
     assert len(set(sweeps.tolist())) == 3 and conv.any() and not conv.all()
     for i in range(3):
-        h1, _, conv1, sweeps1 = _run_lockstep(psi.tensor(), starts[i:i + 1], cfg)
+        h1, _, conv1, sweeps1, _ = _run_lockstep(psi.tensor(), starts[i:i + 1], cfg)
         assert abs(h1[0] - h[i]) <= 1e-12
         assert sweeps1[0] == sweeps[i]
         assert conv1[0] == conv[i]
@@ -338,6 +337,15 @@ def test_antisymmetric_floor_on_determinant_states():
         assert target - 1e-11 <= floor <= target, n
 
 
+@pytest.mark.parametrize("norm2", [1 - 0.9e-12, 1 + 0.9e-12])
+def test_antisymmetric_floor_holds_off_unit_norm(norm2):
+    # PureState accepts |psi|^2 within 1e-12 of 1; the floor must stay
+    # under the entropy the standard basis reaches either way
+    amp = determinant_state(7).amp * math.sqrt(norm2)
+    psi = PureState(7, 7, amp)
+    assert antisymmetric_floor(psi) <= entropy_for_bases(psi, identity_basis(7, 7))
+
+
 def test_antisymmetric_floor_refuses_what_it_cannot_prove(monkeypatch):
     # d < n: no nonzero state is antisymmetric, and no amplitude is read
     def no_swaps(*args, **kwargs):
@@ -353,47 +361,6 @@ def test_antisymmetric_floor_refuses_what_it_cannot_prove(monkeypatch):
     assert antisymmetric_floor(PureState(3, 3, amp)) is None
     assert antisymmetric_floor(ghz(3, 3)) is None  # symmetric, d >= n
     assert antisymmetric_floor(random_state(2, 4, np.random.default_rng(3))) is None
-
-
-# minimize_entropy without stop_at on the bipartite suite's 50 states, as
-# the search gave them before it could close: s_upper, restarts_agreeing,
-# and a SHA-256 of every party's witness basis, bytes in state order
-BIPARTITE_S_UPPER = [
-    0.40370537972381015, 1.2594283360612022, 1.2967825700536997, 0.5719857823530268,
-    1.1022219241690114, 1.0766530180436757, 0.6774555331856699, 0.9384710027650424,
-    1.659797248614005, 0.3701960225908883, 1.244983328920255, 1.6649319734182038,
-    0.6280532768138357, 0.7321373937527568, 1.38435614182221, 0.6338907410032587,
-    0.8405598605048371, 1.5312899371330377, 0.27809595420718103, 1.000685168014242,
-    0.9794763040769635, 0.8193681459522293, 1.2842588002305075, 1.3815541799621127,
-    0.5050604123607743, 0.9698799297225652, 1.5874484042414452, 0.4324472315422452,
-    0.8960973233756052, 1.6966490015325753, 0.2687819041480443, 1.1002025455049842,
-    1.3456837622077882, 0.29584621072843736, 1.0912579159167108, 1.060460032690727,
-    0.29012511926164886, 1.1360036864820153, 1.360966060639242, 0.8759798462772624,
-    1.1603276011707124, 1.2872076348092039, 0.5486764615373999, 1.0069124302015755,
-    1.2946128653719682, 0.6522048364522249, 1.201619537026885, 1.1063666276485506,
-    0.728788134899234, 1.4494464696477025,
-]
-BIPARTITE_AGREEING = [
-    20, 1, 1, 20, 1, 1, 2, 1, 1, 20, 1, 1, 8, 6, 1, 4, 1, 1, 20, 1, 1, 1, 1, 1, 20,
-    1, 1, 20, 1, 1, 20, 1, 1, 20, 1, 1, 20, 1, 1, 1, 1, 1, 20, 1, 1, 1, 1, 1, 1, 1,
-]
-BIPARTITE_BASES_SHA256 = "405773bc81fa63d2002319c45914f9fd60f28a7642698e131470eeaf27bf1c40"
-
-
-def test_search_without_stop_at_is_unchanged_on_the_bipartite_suite():
-    ups, agreeing = [], []
-    digest = hashlib.sha256()
-    for i in range(50):
-        psi = random_state(2, (2, 3, 4)[i % 3], np.random.default_rng([101, i]))
-        cfg = OptConfig(restarts=20, max_sweeps=30, tol=1e-12, seed=500 + i)
-        res = minimize_entropy(psi, cfg, stop_at=None)
-        ups.append(res.s_upper)
-        agreeing.append(res.restarts_agreeing)
-        for u in res.basis.u:
-            digest.update(u.tobytes())
-    assert ups == BIPARTITE_S_UPPER
-    assert agreeing == BIPARTITE_AGREEING
-    assert digest.hexdigest() == BIPARTITE_BASES_SHA256
 
 
 def record_lockstep(monkeypatch):
@@ -413,7 +380,8 @@ def record_lockstep(monkeypatch):
 def test_search_closes_on_the_antisymmetric_floor(monkeypatch):
     psi = determinant_state(4)
     sweeps = record_lockstep(monkeypatch)
-    res = minimize_entropy(psi, OptConfig(), stop_at=antisymmetric_floor(psi))
+    # minimize_entropy finds the floor itself; the caller passes nothing
+    res = minimize_entropy(psi, OptConfig())
     assert len(sweeps) == 1 and sweeps[0].max() <= 2
     assert abs(res.s_upper - math.log2(24)) <= 1e-9
     assert res.converged
@@ -426,7 +394,7 @@ def test_two_party_search_closes_at_the_schmidt_entropy(monkeypatch):
     psi = random_state(2, 4, np.random.default_rng(2024))
     exact, _ = bipartite_exact(psi)
     sweeps = record_lockstep(monkeypatch)
-    res = minimize_entropy(psi, OptConfig(), stop_at=0.0)
+    res = minimize_entropy(psi, OptConfig())
     assert abs(res.s_upper - exact) <= 1e-9
     assert sweeps[0].max() == 1
     assert res.converged
@@ -438,15 +406,27 @@ def test_closing_in_the_first_batch_skips_the_rest(monkeypatch):
     cfg = OptConfig(restarts=12, max_sweeps=60, tol=1e-12, seed=43)
     assert entopt._batch_size(psi.n, psi.d, cfg.restarts) == 4
     sweeps = record_lockstep(monkeypatch)
-    floor = antisymmetric_floor(psi)
-    res = minimize_entropy(psi, cfg, stop_at=floor)
+    res = minimize_entropy(psi, cfg)
     assert [s.size for s in sweeps] == [4]
     assert res.converged and 1 <= res.restarts_agreeing <= 4
     assert abs(res.s_upper - log2_factorial(3)) <= 1e-9
-    again = minimize_entropy(psi, cfg, stop_at=floor)
+    again = minimize_entropy(psi, cfg)
     assert result_to_dict(again) == result_to_dict(res)
     assert all(np.array_equal(a, b) for a, b in zip(again.basis.u, res.basis.u))
-    # without a target every batch runs
+    # a random state stays above its subset bound, so every batch runs
     sweeps.clear()
-    minimize_entropy(psi, cfg)
+    minimize_entropy(random_state(3, 3, np.random.default_rng(5)), cfg)
     assert [s.size for s in sweeps] == [4, 4, 4]
+
+
+def test_search_closes_on_the_callers_floor(monkeypatch):
+    # the polytope floor 4 of the hexacode state is one only the caller knows
+    psi = hexacode_state()
+    cfg = OptConfig(restarts=4, max_sweeps=60, tol=1e-12, seed=7)
+    sweeps = record_lockstep(monkeypatch)
+    open_run = minimize_entropy(psi, cfg)
+    closed = minimize_entropy(psi, cfg, stop_at=4.0)
+    assert sweeps[1].max() < sweeps[0].max()
+    assert closed.converged and abs(closed.s_upper - 4.0) <= 1e-9
+    assert open_run.s_upper >= 4.0 - 1e-9
+    assert closed.s_lower == open_run.s_lower == 3.0
