@@ -215,26 +215,39 @@ def _optimize_party(y: np.ndarray, dq: int, step: np.ndarray) -> np.ndarray:
     return h
 
 
-def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+def _haar_from_normals(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from standard normals g (..., 2, d, d), the real and
+    imaginary parts of Ginibre matrices: one stacked QR, each column's
+    phase fixed by R's diagonal."""
+    q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
-def _marginal_eigenbases(psi: PureState) -> list:
+def _haar_unitary(d: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count Haar-random d x d unitaries (count, d, d) from one draw of rng."""
+    return _haar_from_normals(rng.standard_normal((count, 2, d, d)))
+
+
+def _marginal_eigenbases(psi: PureState) -> np.ndarray:
     """Eigenvectors of every one-party reduced state, from one batched eigh."""
-    _, vecs = np.linalg.eigh(_reduced_states(psi.tensor(), [(a,) for a in range(psi.n)]))
-    return list(vecs)
+    return np.linalg.eigh(_reduced_states(psi.tensor(), [(a,) for a in range(psi.n)]))[1]
 
 
-def _initial_bases(psi: PureState, restart: int, seed: int) -> list:
-    if restart == 0:
-        return [np.eye(psi.d, dtype=np.complex128) for _ in range(psi.n)]
-    if restart == 1:
-        return _marginal_eigenbases(psi)
-    rng = np.random.default_rng([seed, 1, restart])
-    return [_haar_unitary(psi.d, rng) for _ in range(psi.n)]
+def _initial_bases(psi: PureState, restarts: int, seed: int) -> np.ndarray:
+    """Starting bases (restarts, n, d, d): identity bases, then the marginal
+    eigenbases, then per restart r the Haar draws of rng([seed, 1, r]),
+    all of them through one stacked QR."""
+    n, d = psi.n, psi.d
+    us = np.empty((restarts, n, d, d), dtype=np.complex128)
+    us[0] = np.eye(d)
+    if restarts > 1:
+        us[1] = _marginal_eigenbases(psi)
+    if restarts > 2:
+        us[2:] = _haar_from_normals(np.stack([
+            np.random.default_rng([seed, 1, r]).standard_normal((n, 2, d, d))
+            for r in range(2, restarts)]))
+    return us
 
 
 def _batch_size(n: int, d: int, restarts: int) -> int:
@@ -328,28 +341,48 @@ def best_subset_lower_bound(psi: PureState):
     the hexacode state) is scanned in real arithmetic.  Each size's
     subsets are stacked in chunks of at most SUBSET_STACK_AMPLITUDES
     amplitudes, each chunk one _reduced_states stack (with DensityMatrix's
-    checks) and one eigvalsh, clamped as in von_neumann_entropy.  Returns
-    (value, witness subset); the first maximizer in size-then-lexicographic
-    order wins.
+    checks) and one eigvalsh, clamped as in von_neumann_entropy.
+
+    Returns (value, witness subset).  The witness is the first maximizer
+    in size-then-lexicographic order: a subset replaces the best so far
+    only if it beats it by more than 1e-12.  Size floor(n/2), where the
+    maximum of a typical state sits, is scanned first; let T be its
+    largest entropy.  A smaller size s with s log2 d < T - 1e-9 is never
+    scanned, since none of its subsets can come within 1e-9 of T, so none
+    can be the witness.  The rest are scanned in ascending order under the
+    1e-12 rule, reusing the top size's entropies.  The answer is the full
+    scan's unless a run of about a thousand subsets climbs the 1e-9 gap in
+    steps of under 1e-12 each.
     """
     n = psi.n
     amp = psi.amp.real if not psi.amp.imag.any() else psi.amp
     t = amp.reshape((psi.d,) * n)
     per_chunk = max(1, SUBSET_STACK_AMPLITUDES // psi.dim)
-    best = 0.0
-    witness = ()
-    for size in range(1, n // 2 + 1):
+
+    def entropies(size):
         if 2 * size == n:
             subsets = ((0,) + rest
                        for rest in itertools.combinations(range(1, n), size - 1))
         else:
             subsets = itertools.combinations(range(n), size)
+        vals = []
         while chunk := list(itertools.islice(subsets, per_chunk)):
             lam = _clamped_spectrum(np.linalg.eigvalsh(_reduced_states(t, chunk)))
-            for x, val in zip(chunk, map(_entropy_bits, lam)):
-                if val > best + 1e-12:
-                    best = val
-                    witness = tuple(a + 1 for a in x)
+            vals.extend(zip(chunk, map(_entropy_bits, lam)))
+        return vals
+
+    top = n // 2
+    top_vals = entropies(top) if top else []
+    cutoff = max((val for _, val in top_vals), default=0.0) - 1e-9
+    best = 0.0
+    witness = ()
+    for size in range(1, top + 1):
+        if size < top and size * math.log2(psi.d) < cutoff:
+            continue
+        for x, val in top_vals if size == top else entropies(size):
+            if val > best + 1e-12:
+                best = val
+                witness = tuple(a + 1 for a in x)
     return best, witness
 
 
@@ -494,7 +527,7 @@ def minimize_entropy(psi: PureState, cfg: OptConfig = OptConfig(),
     witness = f"subset {subset}" if subset else "none"
     close_at = max(stop_at, s_lower, antisymmetric_floor(psi) or 0.0)
 
-    starts = np.array([_initial_bases(psi, r, cfg.seed) for r in range(cfg.restarts)])
+    starts = _initial_bases(psi, cfg.restarts, cfg.seed)
     t = psi.tensor()
     batch = _batch_size(psi.n, psi.d, cfg.restarts)
     runs = []

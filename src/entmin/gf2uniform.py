@@ -43,6 +43,12 @@ def _hamming_weights(bits: int) -> np.ndarray:
     return w
 
 
+# read-only 12-bit popcount table for min_stabilizer_weight; larger tables
+# are built per call, since 2**18 entries would stay resident for good
+_POPCOUNT12 = _hamming_weights(12)
+_POPCOUNT12.flags.writeable = False
+
+
 @dataclass(frozen=True, eq=False)
 class BitDistribution:
     """Probability distribution over the 2**n strings of n bits."""
@@ -437,11 +443,10 @@ def min_stabilizer_weight(g: GraphSpec) -> int:
     zrows = _neighbour_masks(g.adj)[::-1]
     zlo = _xor_table(zrows[:lo])
     xlo = np.arange(1 << lo)
-    popcount = _hamming_weights(12)
     best = g.v
     for hi, zhi in enumerate(_xor_table(zrows[lo:]).tolist()):
         support = (xlo | (hi << lo)) | (zlo ^ zhi)
-        w = popcount[support & 0xFFF] + popcount[support >> 12]
+        w = _POPCOUNT12[support & 0xFFF] + _POPCOUNT12[support >> 12]
         if hi == 0:
             w[0] = g.v  # the identity
         best = min(best, int(w.min()))

@@ -119,7 +119,7 @@ def ghz_suite() -> dict:
 
 
 def _su_random(d: int, rng: np.random.Generator) -> np.ndarray:
-    q = entopt._haar_unitary(d, rng)
+    q = entopt._haar_unitary(d, rng, 1)[0]
     det = np.linalg.det(q)
     return q * np.exp(-1j * np.angle(det) / d)
 
@@ -215,7 +215,7 @@ def hexacode_suite() -> dict:
     dists = [outcome_distribution(psi, res.basis)]
     for k in range(5):
         rng = np.random.default_rng([909, k])
-        us = tuple(entopt._haar_unitary(2, rng) for _ in range(6))
+        us = tuple(entopt._haar_unitary(2, rng, 6))
         dists.append(outcome_distribution(psi, ProductBasis(6, 2, us)))
     wt = gf2uniform._hamming_weights(6)
     worst_q = 0.0
@@ -272,6 +272,7 @@ def polytope_suite() -> dict:
     checks = []
     verts = kpolytope.enumerate_vertices_p53()
     checks.append(_close("closed-form vertex count", len(verts), 11, 0))
+    face_ps = [kpolytope.qpoint_to_distribution(v).p for v in verts]
 
     face = kpolytope.PolytopeSpec(5, 3, zero_faces=(0,))
     generic = kpolytope.enumerate_vertices_generic(face)
@@ -280,14 +281,12 @@ def polytope_suite() -> dict:
     worst_match = 1.0
     if len(generic) == len(verts):
         worst_match = 0.0
-        for v in verts:
-            pv = kpolytope.qpoint_to_distribution(v).p
+        for pv in face_ps:
             best = min(float(np.max(np.abs(pv - gD.p))) for gD in generic)
             worst_match = max(worst_match, best)
     checks.append(_below("vertex sets pairwise match, max |dp|", worst_match, 1e-9))
 
-    entropies = sorted(shannon_entropy(kpolytope.qpoint_to_distribution(v).p)
-                       for v in verts)
+    entropies = sorted(shannon_entropy(p) for p in face_ps)
     dev4 = max(abs(h - 4.0) for h in entropies[:6]) if len(entropies) == 11 else 1.0
     dev3 = (max(abs(h - kpolytope.TYPE3_ENTROPY) for h in entropies[6:])
             if len(entropies) == 11 else 1.0)
@@ -305,8 +304,7 @@ def polytope_suite() -> dict:
     full = kpolytope.enumerate_vertices_generic(kpolytope.PolytopeSpec(5, 3))
     checks.append(_close("full P5^3 double-description vertex count", len(full), 28, 0))
     x = np.arange(32)
-    translates = {tuple(np.round(kpolytope.qpoint_to_distribution(v).p[x ^ t], 9))
-                  for v in verts for t in range(32)}
+    translates = {tuple(row) for p in face_ps for row in np.round(p[x ^ x[:, None]], 9)}
     checks.append(_close("full P5^3 vertices that translate a closed-form face vertex",
                          sum(tuple(np.round(g.p, 9)) in translates for g in full),
                          28, 0))

@@ -35,7 +35,14 @@ from entmin.hilbert import (
     tensor_product,
 )
 from entmin.indexing import MAX_AMPLITUDES
-from entmin.states import determinant_state, ghz, hexacode_state, log2_factorial
+from entmin.states import (
+    GraphSpec,
+    determinant_state,
+    ghz,
+    graph_state,
+    hexacode_state,
+    log2_factorial,
+)
 
 from conftest import outcome_oracle, subset_bound_oracle
 
@@ -121,7 +128,7 @@ def test_minimizer_is_deterministic(rng):
 def test_lockstep_result_does_not_depend_on_batch():
     psi = random_state(3, 2, np.random.default_rng(2026))
     cfg = OptConfig(max_sweeps=100)
-    starts = np.array([_initial_bases(psi, r, cfg.seed) for r in (0, 2, 3)])
+    starts = _initial_bases(psi, 4, cfg.seed)[[0, 2, 3]]
     h, _, conv, sweeps, _ = _run_lockstep(psi.tensor(), starts, cfg)
     # the starts stop after different sweep counts, one at the sweep limit,
     # so the batch shrinks while the others run on
@@ -215,25 +222,69 @@ def count_eigvalsh(monkeypatch):
 
 
 def test_subset_scan_spans_chunks(monkeypatch):
-    psi = seeded_state(10, 2, 3)
+    psi = seeded_state(11, 2, 3)
     want = subset_bound_oracle(psi)
     per_chunk = SUBSET_STACK_AMPLITUDES // psi.dim
-    assert math.comb(10, 4) > per_chunk  # size 4 takes several chunks
     calls = count_eigvalsh(monkeypatch)
     assert best_subset_lower_bound(psi) == want
-    assert max(calls) == per_chunk
-    assert len(calls) > 5  # more batches than the five sizes scanned
+    # only size 5 is scanned, C(11, 5) = 462 subsets in chunks of 32
+    assert calls == [per_chunk] * 14 + [462 - 14 * per_chunk]
+
+
+def bell_pairs_and_zeros():
+    """Bell pairs on parties (1, 2) and (3, 4), |00> on parties 5 and 6:
+    size-2 entropies reach 2 bits, as many as at size 3."""
+    bell = PureState(2, 2, np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
+    zeros = PureState(2, 2, np.array([1.0, 0.0, 0.0, 0.0]))
+    return tensor_product(tensor_product(bell, bell), zeros)
 
 
 def test_subset_scan_skips_complements(monkeypatch):
     calls = count_eigvalsh(monkeypatch)
+    # random states: every size below n/2 is capped under the top size's
+    # maximum, so only the top size is scanned (half of it at even n)
     for n, d in SCAN_SHAPES:
         calls.clear()
         best_subset_lower_bound(seeded_state(n, d, 4))
-        want = sum(math.comb(n, k) for k in range(1, (n + 1) // 2))
-        if n % 2 == 0:
-            want += math.comb(n, n // 2) // 2
+        want = math.comb(n, n // 2) // (2 if n % 2 == 0 else 1)
         assert sum(calls) == want, (n, d)
+    # GHZ(6): T = 1, so sizes 1 and 2 stay in the scan after size 3;
+    # nothing is skipped
+    calls.clear()
+    assert best_subset_lower_bound(ghz(6, 2)) == (1.0, (1,))
+    assert calls == [10, 6, 15]
+    # T = 2 = 2 log2(2): size 2 stays and its witness (1, 3) holds against
+    # the tie at size 3; size 1 is skipped
+    calls.clear()
+    psi = bell_pairs_and_zeros()
+    val, witness = best_subset_lower_bound(psi)
+    assert calls == [10, 15]
+    assert witness == (1, 3) == subset_bound_oracle(psi)[1]
+    assert abs(val - 2.0) <= 1e-12
+
+
+def graphs_and_rings():
+    for n in range(4, 11):
+        yield GraphSpec.from_edges(n, [(i, i % n + 1) for i in range(1, n + 1)])
+        rng = np.random.default_rng([n, 6])
+        upper = np.triu(rng.integers(0, 2, size=(n, n)), 1)
+        yield GraphSpec(n, (upper + upper.T).astype(np.uint8))
+
+
+def test_subset_scan_matches_oracle_on_graph_states():
+    # integer entropies: the tie-heavy case of the 1e-12 rule and the skip
+    for g in graphs_and_rings():
+        psi = graph_state(g)
+        # real amplitudes take the real-arithmetic path, which may differ
+        # from the oracle's complex arithmetic in the last bits
+        val, witness = best_subset_lower_bound(psi)
+        want, want_witness = subset_bound_oracle(psi)
+        assert witness == want_witness, g.edges()
+        assert abs(val - want) <= 1e-12
+        # a global phase keeps every entropy and sends the state through
+        # complex arithmetic, where the scan must equal the oracle bitwise
+        phased = PureState(g.v, 2, psi.amp * np.exp(1j * math.pi / 3))
+        assert best_subset_lower_bound(phased) == subset_bound_oracle(phased), g.edges()
 
 
 def test_subset_scan_rejects_eigenvalues_below_floor(monkeypatch):
