@@ -146,10 +146,10 @@ def cmd_entropy(args) -> int:
     floor = entopt.polytope_floor(psi) if args.polytope_bound else None
     cfg = OptConfig(restarts=args.restarts, max_sweeps=args.max_sweeps,
                     tol=args.tol, seed=args.seed)
-    res = entopt.minimize_entropy(psi, cfg, include_overlap_bound=args.overlap_bound,
-                                  stop_at=floor or 0.0)
-    # the search closes on either certificate but reports the subset bound;
-    # the two never apply to the same state
+    res = entopt.minimize_entropy(psi, cfg, include_overlap_bound=args.overlap_bound)
+    # the search closes on every floor it finds but reports the subset
+    # bound; a certified floor above it replaces it here (the polytope one
+    # only under --polytope-bound), and the two never apply to one state
     for value, named in (
             (floor, "3-uniform outcome polytope, entropy floor 4"),
             (entopt.antisymmetric_floor(psi),

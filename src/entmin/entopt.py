@@ -83,9 +83,11 @@ class OptResult:
     ``converged`` is True when the best restart passed its own convergence
     test, or when the search closed: its best entropy came within
     CLOSE_TOL of a rigorous floor, so the basis is optimal to that
-    tolerance.  ``restarts_agreeing`` counts the restarts within AGREE_TOL
-    of the best, among those that ran; a closed search skips the batches
-    it had not started.
+    tolerance, possibly after zero sweeps when a start already sat on the
+    floor.  ``restarts_agreeing`` counts the starts within AGREE_TOL of
+    the best among those evaluated: every start of the batches that ran,
+    those of the closing batch at the entropies it closed with; a closed
+    search skips the batches it had not started.
     """
 
     s_upper: float
@@ -265,10 +267,12 @@ def _run_lockstep(t: np.ndarray, us: np.ndarray, cfg: OptConfig,
     from it without contracting again.  Each start keeps its own step size,
     stall count and convergence flag, and leaves the batch when it
     converges, so its arithmetic does not depend on the other starts.
-    close_at is a rigorous entropy floor: the batch stops after the first
-    sweep that leaves its best entropy within CLOSE_TOL of it.  Returns
-    per-start entropies (k,), bases (k, n, d, d), convergence flags,
-    sweeps used, and whether the batch closed.
+    close_at is a rigorous entropy floor.  The close test (best entropy
+    within CLOSE_TOL of it) runs on the starting entropies and after each
+    sweep, and the batch stops once it passes, so a batch whose best start
+    already sits on the floor runs zero sweeps.  Returns per-start
+    entropies (k,), bases (k, n, d, d), convergence flags, sweeps used,
+    and whether the batch closed.
     """
     k, n, d = us.shape[:3]
     ws = us.conj().transpose(0, 1, 3, 2)
@@ -278,10 +282,9 @@ def _run_lockstep(t: np.ndarray, us: np.ndarray, cfg: OptConfig,
     converged = np.zeros(k, dtype=bool)
     sweeps = np.zeros(k, dtype=np.int64)
     dq = d ** (n - 1)
-    closed = False
     for _ in range(cfg.max_sweeps):
         act = np.flatnonzero(~converged)
-        if act.size == 0:
+        if act.size == 0 or h_cur.min() <= close_at + CLOSE_TOL:
             break
         w = ws[act]
         rot = _rotate_all(t, w)
@@ -301,9 +304,7 @@ def _run_lockstep(t: np.ndarray, us: np.ndarray, cfg: OptConfig,
         stalls[act] = np.where(stall, stalls[act] + 1, 0)
         converged[act] = stalls[act] >= 3
         step[act] = np.where(stall & ~converged[act], step[act] * 0.15, step[act])
-        closed = bool(h_cur.min() <= close_at + CLOSE_TOL)
-        if closed:
-            break
+    closed = bool(h_cur.min() <= close_at + CLOSE_TOL)
     return h_cur, ws.conj().transpose(0, 1, 3, 2), converged, sweeps, closed
 
 
@@ -396,14 +397,24 @@ def polytope_floor(psi: PureState) -> float | None:
     """
     if psi.n != 6 or psi.d != 2:
         raise ValidationError("the polytope floor needs a 6-party qubit state")
+    unmixed = _unmixed_block(psi)
+    if unmixed is not None:
+        block, dev = unmixed
+        raise ValidationError(
+            f"block {block} is not maximally mixed (deviation {dev:.3g})")
+    return kpolytope.verify_inf6_chain()["inf6"]
+
+
+def _unmixed_block(psi: PureState):
+    """First of a 6-qubit psi's twenty 3-qubit blocks, 1-based, whose
+    reduced state is farther than 1e-9 from I/8, with that deviation; None
+    if every block is within it."""
     blocks = list(itertools.combinations(range(6), 3))
     rho = _reduced_states(psi.tensor(), blocks)
     for x, dev in zip(blocks, np.max(np.abs(rho - np.eye(8) / 8.0), axis=(1, 2))):
         if dev > 1e-9:
-            raise ValidationError(
-                f"block {tuple(a + 1 for a in x)} is not maximally mixed "
-                f"(deviation {dev:.3g})")
-    return kpolytope.verify_inf6_chain()["inf6"]
+            return tuple(a + 1 for a in x), dev
+    return None
 
 
 def antisymmetric_floor(psi: PureState) -> float | None:
@@ -500,8 +511,7 @@ def max_product_overlap(psi: PureState, cfg: OptConfig = OptConfig(),
 
 
 def minimize_entropy(psi: PureState, cfg: OptConfig = OptConfig(),
-                     include_overlap_bound: bool = False,
-                     stop_at: float = 0.0) -> OptResult:
+                     include_overlap_bound: bool = False) -> OptResult:
     """Multi-restart alternating minimization of the outcome entropy.
 
     Restart 0 starts from identity bases, restart 1 from the marginal
@@ -513,19 +523,25 @@ def minimize_entropy(psi: PureState, cfg: OptConfig = OptConfig(),
     adds the product-overlap bound as s_lower_heuristic.
 
     The search closes at the highest rigorous floor it knows: the subset
-    bound, the antisymmetric floor when psi has one, and stop_at, a floor
-    only the caller can supply (such as the polytope floor).  It stops
-    after the first sweep whose best entropy is within CLOSE_TOL of that
-    floor, and skips the batches it has not started.  The rule counts
-    sweeps, not time, so results stay bitwise reproducible; a search that
-    closes depends on the batching, which MAX_AMPLITUDES fixes.  A closed
-    search reports converged = True, and restarts_agreeing counts only
-    the restarts that ran.  Only the subset bound enters s_lower: a
-    caller that trusts another floor applies it to the result itself.
+    bound, the antisymmetric floor when psi has one, and the polytope
+    floor when psi has 6 qubits whose 3-qubit blocks are all within 1e-9
+    of I/8 (only then does the inf6 chain run).  A batch stops as soon as
+    its best entropy is within CLOSE_TOL of that floor, before its first
+    sweep if a start already is (det(n) from the identity basis, GHZ, any
+    two-party state from its marginal eigenbases), and the batches not
+    yet started are skipped.  The rule counts sweeps, not time, so results
+    stay bitwise reproducible; a search that closes depends on the
+    batching, which MAX_AMPLITUDES fixes.  A closed search reports
+    converged = True, and restarts_agreeing counts the evaluated starts of
+    the batches that ran, those of the closing batch at the entropies it
+    closed with.  Only the subset bound enters s_lower: a caller that
+    trusts another floor applies it to the result itself.
     """
     s_lower, subset = best_subset_lower_bound(psi)
     witness = f"subset {subset}" if subset else "none"
-    close_at = max(stop_at, s_lower, antisymmetric_floor(psi) or 0.0)
+    close_at = max(s_lower, antisymmetric_floor(psi) or 0.0)
+    if psi.n == 6 and psi.d == 2 and _unmixed_block(psi) is None:
+        close_at = max(close_at, kpolytope.verify_inf6_chain()["inf6"] or 0.0)
 
     starts = _initial_bases(psi, cfg.restarts, cfg.seed)
     t = psi.tensor()

@@ -114,52 +114,82 @@ def test_entropy_polytope_bound_rejects_other_states(tmp_path):
     assert run(["entropy", str(state_file), "--polytope-bound"]) == 2
 
 
-def record_stop_at(monkeypatch):
-    """Wrap entopt.minimize_entropy; the list gets each call's stop_at."""
-    targets = []
+def record_searches(monkeypatch):
+    """Wrap entopt.minimize_entropy; the list gets each call's keyword
+    arguments and its own result, before the CLI applies any floor."""
+    calls = []
     orig = entopt.minimize_entropy
 
     def recording(*args, **kwargs):
-        targets.append(kwargs["stop_at"])
-        return orig(*args, **kwargs)
+        res = orig(*args, **kwargs)
+        calls.append((kwargs, res))
+        return res
 
     monkeypatch.setattr(entopt, "minimize_entropy", recording)
-    return targets
+    return calls
 
 
 def test_entropy_applies_the_antisymmetric_floor(tmp_path, capsys, monkeypatch):
     state_file = tmp_path / "det4.json"
     save_state(determinant_state(4), state_file)
-    targets = record_stop_at(monkeypatch)
+    calls = record_searches(monkeypatch)
     assert run(["entropy", str(state_file), "--out", "-"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert abs(rep["s_lower"] - math.log2(24)) <= 1e-11
     assert rep["lower_bound_witness"] == "antisymmetric state, entropy floor log2(4!)"
     assert abs(rep["s_upper"] - math.log2(24)) <= 1e-9
     assert rep["converged"] is True
-    # minimize_entropy finds the antisymmetric floor itself
-    assert targets == [0.0]
+    # minimize_entropy finds the floor itself and reports the subset bound
+    [(kwargs, res)] = calls
+    assert kwargs == {"include_overlap_bound": False}
+    assert res.lower_bound_witness == "subset (1, 2)"
 
 
 def test_entropy_without_certificate_closes_at_the_subset_bound(
         tmp_path, capsys, monkeypatch):
     state_file = tmp_path / "ghz.json"
     save_state(ghz(3, 2), state_file)
-    targets = record_stop_at(monkeypatch)
+    calls = record_searches(monkeypatch)
     assert run(["entropy", str(state_file), "--out", "-"]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert targets == [0.0]
+    assert len(calls) == 1
     assert rep["lower_bound_witness"] == "subset (1,)"
-    assert abs(rep["s_upper"] - 1.0) <= 1e-9
+    assert abs(rep["s_upper"] - 1.0) <= 1e-9 and rep["converged"] is True
 
 
-def test_entropy_polytope_bound_is_the_closing_target(tmp_path, capsys, monkeypatch):
-    targets = record_stop_at(monkeypatch)
-    assert run(["entropy", hexacode_file(tmp_path), "--restarts", "3",
-                "--polytope-bound", "--out", "-"]) == 0
+def test_entropy_closes_on_the_polytope_floor_without_the_flag(tmp_path, capsys):
+    # the search finds the floor 4 itself, but s_lower stays the subset bound
+    assert run(["entropy", hexacode_file(tmp_path), "--out", "-"]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert targets == [4.0]
-    assert rep["converged"] is True and abs(rep["s_upper"] - 4.0) <= 1e-9
+    assert (rep["s_lower"], rep["lower_bound_witness"]) == (3.0, "subset (1, 2, 3)")
+    assert rep["converged"] is True
+    assert abs(rep["s_upper"] - 4.0) <= 1e-9
+    assert "polytope_chain_passed" not in rep
+
+
+# entmin entropy --polytope-bound on hexacode at the CLI defaults: every
+# row after the manifest except the basis
+POLYTOPE_BOUND_ROWS = {
+    "s_upper": 4.000000000253184, "s_lower": 4.0,
+    "lower_bound_witness": "3-uniform outcome polytope, entropy floor 4",
+    "s_lower_heuristic": None, "witness_basis_path": None,
+    "polytope_chain_passed": True, "converged": True, "restarts_agreeing": 18,
+    "seed": 7,
+}
+
+
+def test_entropy_polytope_bound_rows_are_unchanged(tmp_path, capsys):
+    state = hexacode_file(tmp_path)
+    assert run(["entropy", state, "--polytope-bound", "--out", "-"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert {k: rep[k] for k in POLYTOPE_BOUND_ROWS} == POLYTOPE_BOUND_ROWS
+    out = tmp_path / "report.csv"
+    assert run(["entropy", state, "--polytope-bound", "--format", "csv",
+                "--out", str(out)]) == 0
+    rows = list(csv.reader(l for l in out.read_text().splitlines()
+                           if not l.startswith("#")))
+    assert rows[1:] == [[k, "" if v is None else str(v)]
+                        for k, v in POLYTOPE_BOUND_ROWS.items()]
 
 
 REPORT_KEYS = ["manifest", "s_upper", "s_lower", "lower_bound_witness",

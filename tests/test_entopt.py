@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from entmin import entopt
+from entmin import entopt, kpolytope
 from entmin.entopt import (
     SUBSET_STACK_AMPLITUDES,
     OptConfig,
@@ -301,6 +301,11 @@ def test_subset_scan_rejects_eigenvalues_below_floor(monkeypatch):
             best_subset_lower_bound(psi)
 
 
+def fail_the_chain(monkeypatch):
+    monkeypatch.setattr(kpolytope, "verify_inf6_chain",
+                        lambda: {"links": {}, "inf6": None, "passed": False})
+
+
 def test_polytope_floor_on_hexacode():
     assert polytope_floor(hexacode_state()) == 4.0
 
@@ -316,10 +321,7 @@ def test_polytope_floor_names_the_first_mixed_block_that_fails():
 
 
 def test_polytope_floor_is_none_when_the_chain_fails(monkeypatch):
-    from entmin import kpolytope
-
-    monkeypatch.setattr(kpolytope, "verify_inf6_chain",
-                        lambda: {"links": {}, "inf6": None, "passed": False})
+    fail_the_chain(monkeypatch)
     assert polytope_floor(hexacode_state()) is None
 
 
@@ -447,7 +449,8 @@ def test_two_party_search_closes_at_the_schmidt_entropy(monkeypatch):
     sweeps = record_lockstep(monkeypatch)
     res = minimize_entropy(psi, OptConfig())
     assert abs(res.s_upper - exact) <= 1e-9
-    assert sweeps[0].max() == 1
+    # restart 1, the marginal eigenbases, starts on the Schmidt entropy
+    assert sweeps[0].max() == 0
     assert res.converged
 
 
@@ -464,20 +467,60 @@ def test_closing_in_the_first_batch_skips_the_rest(monkeypatch):
     again = minimize_entropy(psi, cfg)
     assert result_to_dict(again) == result_to_dict(res)
     assert all(np.array_equal(a, b) for a, b in zip(again.basis.u, res.basis.u))
-    # a random state stays above its subset bound, so every batch runs
+    # a random state starts above its subset bound and stays there, so
+    # every batch runs, each for at least one sweep
     sweeps.clear()
     minimize_entropy(random_state(3, 3, np.random.default_rng(5)), cfg)
     assert [s.size for s in sweeps] == [4, 4, 4]
+    assert min(s.max() for s in sweeps) >= 1
 
 
-def test_search_closes_on_the_callers_floor(monkeypatch):
-    # the polytope floor 4 of the hexacode state is one only the caller knows
+@pytest.mark.parametrize("psi, floor", [
+    (determinant_state(3), math.log2(6)),
+    (ghz(3, 2), 1.0),
+    (random_state(2, 4, np.random.default_rng(7)), None),
+], ids=["det3", "ghz32", "random24"])
+def test_search_closes_before_its_first_sweep(monkeypatch, psi, floor):
+    # the identity basis sits on log2 3! and on GHZ's subset bound 1, the
+    # marginal eigenbases on a two-party state's Schmidt entropy
+    if floor is None:
+        floor = bipartite_exact(psi)[0]
+    sweeps = record_lockstep(monkeypatch)
+    res = minimize_entropy(psi, OptConfig())
+    assert len(sweeps) == 1 and sweeps[0].max() == 0
+    assert res.converged and abs(res.s_upper - floor) <= 1e-9
+
+
+def test_search_closes_on_the_polytope_floor(monkeypatch):
+    # minimize_entropy finds hexacode's polytope floor 4 itself
     psi = hexacode_state()
     cfg = OptConfig(restarts=4, max_sweeps=60, tol=1e-12, seed=7)
     sweeps = record_lockstep(monkeypatch)
+    closed = minimize_entropy(psi, cfg)
+    fail_the_chain(monkeypatch)
     open_run = minimize_entropy(psi, cfg)
-    closed = minimize_entropy(psi, cfg, stop_at=4.0)
-    assert sweeps[1].max() < sweeps[0].max()
+    assert sweeps[0].max() < sweeps[1].max()
     assert closed.converged and abs(closed.s_upper - 4.0) <= 1e-9
     assert open_run.s_upper >= 4.0 - 1e-9
     assert closed.s_lower == open_run.s_lower == 3.0
+
+
+def test_search_without_the_chain_has_no_polytope_floor(monkeypatch):
+    # with the chain failing there is no polytope floor: hexacode at the
+    # CLI defaults closes only on its subset bound 3, which it never
+    # reaches, so the search runs to its own convergence test
+    fail_the_chain(monkeypatch)
+    res = minimize_entropy(hexacode_state(), OptConfig())
+    assert res.s_upper == 4.000000000000008
+    assert (res.s_lower, res.lower_bound_witness) == (3.0, "subset (1, 2, 3)")
+    assert res.converged and res.restarts_agreeing == 18
+
+
+def test_chain_runs_only_for_three_uniform_states(monkeypatch):
+    def no_chain():
+        raise AssertionError("the inf6 chain ran")
+
+    monkeypatch.setattr(kpolytope, "verify_inf6_chain", no_chain)
+    cfg = OptConfig(restarts=3, max_sweeps=20, seed=7)
+    for psi in (ghz(6, 2), random_state(6, 2, np.random.default_rng(6))):
+        assert minimize_entropy(psi, cfg).s_upper > 0.0
