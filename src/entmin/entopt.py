@@ -58,6 +58,15 @@ _SIGNS = np.array([1.0, -1.0])[:, None, None]
 _CAND_ROWS = np.array(((0, 2), (1, 3), (4, 5)))
 # coordinate-descent passes over one party's rotation planes per sweep
 PARTY_PASSES = 2
+# probe step of a restart (radians): it starts at STEP_MAX, and after a
+# sweep that lowers its entropy it becomes STEP_FACTOR times the largest
+# rotation the sweep accepted, clipped to [STEP_FLOOR, STEP_MAX].  Below
+# the floor a probe changes the entropy by about step**2, too close to
+# rounding for the parabola fit.  STEP_FACTOR 2 or 3 also closes hexacode
+# in 5 sweeps but takes random (12,2) into a worse local minimum.
+STEP_MAX = 0.6
+STEP_FACTOR = 4.0
+STEP_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -127,7 +136,7 @@ def entropy_for_bases(psi: PureState, b: ProductBasis) -> float:
     return shannon_entropy(outcome_distribution(psi, b))
 
 
-def _optimize_party(y: np.ndarray, dq: int, step: np.ndarray) -> np.ndarray:
+def _optimize_party(y: np.ndarray, dq: int, step: np.ndarray):
     """Coordinate descent over plane rotations of one party's basis, for k
     starts at once.
 
@@ -136,7 +145,8 @@ def _optimize_party(y: np.ndarray, dq: int, step: np.ndarray) -> np.ndarray:
     party's outcome) and its last d columns are w = u^dag, the party's
     basis as rows.  A rotation of the basis acts on rows of q and of w
     alike, so both are rotated as rows of y.  Returns the row entropies
-    (k, d).
+    (k, d) and, per start, the largest |theta| it accepted (k,), 0 if it
+    accepted none.
 
     A rotation in the (a, b) plane changes only outcome rows a and b, and
     their probabilities have a closed form in p_a, p_b and one cross
@@ -145,8 +155,9 @@ def _optimize_party(y: np.ndarray, dq: int, step: np.ndarray) -> np.ndarray:
       p_b(theta) = p_a + p_b - p_a(theta)
     with cr = -Im(q_a conj(q_b)) for the phased rotation and +Re for the
     real one.  Each (a, b, kind) probe is one array operation over the
-    starts; each start keeps its own step size, accepts a move only if it
-    lowers its own entropy, and stops after a pass that accepted nothing.
+    starts; each start probes at its own step (the parabola's vertex may
+    go up to twice that), accepts a move only if it lowers its own
+    entropy, and stops after a pass that accepted nothing.
     """
     k, d, _ = y.shape
     q = y[:, :, :dq]
@@ -162,6 +173,7 @@ def _optimize_party(y: np.ndarray, dq: int, step: np.ndarray) -> np.ndarray:
     cand_t = np.stack((step, -step, step))
     cand_h = np.empty((6, k))
     live = np.ones(k, dtype=bool)
+    moved = np.zeros(k)
     for _ in range(PARTY_PASSES):
         improved = np.zeros(k, dtype=bool)
         for a, b in itertools.combinations(range(d), 2):
@@ -196,7 +208,9 @@ def _optimize_party(y: np.ndarray, dq: int, step: np.ndarray) -> np.ndarray:
                 sel[take_r] = 2
                 sel = sel[acc]
                 cand_t[2] = theta
-                t_best = cand_t[sel, acc][:, None, None]
+                t_acc = cand_t[sel, acc]
+                moved[acc] = np.maximum(moved[acc], np.abs(t_acc))
+                t_best = t_acc[:, None, None]
                 cb = np.cos(t_best)
                 sb = np.sin(t_best)
                 # rows (a, b) -> (c a - i s b, c b - i s a) for the phased
@@ -214,7 +228,7 @@ def _optimize_party(y: np.ndarray, dq: int, step: np.ndarray) -> np.ndarray:
         live &= improved
         if not live.any():
             break
-    return h
+    return h, moved
 
 
 def _haar_from_normals(g: np.ndarray) -> np.ndarray:
@@ -267,6 +281,12 @@ def _run_lockstep(t: np.ndarray, us: np.ndarray, cfg: OptConfig,
     from it without contracting again.  Each start keeps its own step size,
     stall count and convergence flag, and leaves the batch when it
     converges, so its arithmetic does not depend on the other starts.
+    The step starts at STEP_MAX.  After a sweep that lowers a start's
+    entropy by at least cfg.tol, its step becomes STEP_FACTOR times the
+    largest rotation angle it accepted in that sweep's party updates,
+    clipped to [STEP_FLOOR, STEP_MAX], so the parabola is fitted at the
+    scale of its recent moves; after a sweep that does not (a stall) the
+    step is multiplied by 0.15, and three stalls in a row mean converged.
     close_at is a rigorous entropy floor.  The close test (best entropy
     within CLOSE_TOL of it) runs on the starting entropies and after each
     sweep, and the batch stops once it passes, so a batch whose best start
@@ -277,7 +297,7 @@ def _run_lockstep(t: np.ndarray, us: np.ndarray, cfg: OptConfig,
     k, n, d = us.shape[:3]
     ws = us.conj().transpose(0, 1, 3, 2)
     h_cur = _plogp_rows(_abs2(_rotate_all(t, ws).reshape(k, d, -1))).sum(axis=-1)
-    step = np.full(k, 0.6)
+    step = np.full(k, STEP_MAX)
     stalls = np.zeros(k, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
     sweeps = np.zeros(k, dtype=np.int64)
@@ -288,10 +308,13 @@ def _run_lockstep(t: np.ndarray, us: np.ndarray, cfg: OptConfig,
             break
         w = ws[act]
         rot = _rotate_all(t, w)
+        step_act = step[act]
+        moved = np.zeros(act.size)
         for axis in range(n):
             q = np.moveaxis(rot, 1 + axis, 1).reshape(act.size, d, dq)
             y = np.concatenate((q, w[:, axis]), axis=-1)
-            h = _optimize_party(y, dq, step[act])
+            h, party_moved = _optimize_party(y, dq, step_act)
+            np.maximum(moved, party_moved, out=moved)
             w[:, axis] = y[:, :, dq:]
             rot = np.moveaxis(y[:, :, :dq].reshape(rot.shape), 1, 1 + axis)
         ws[act] = w
@@ -303,7 +326,9 @@ def _run_lockstep(t: np.ndarray, us: np.ndarray, cfg: OptConfig,
         stall = h_before - h_cur[act] < cfg.tol
         stalls[act] = np.where(stall, stalls[act] + 1, 0)
         converged[act] = stalls[act] >= 3
-        step[act] = np.where(stall & ~converged[act], step[act] * 0.15, step[act])
+        # a start that moved probes next at the scale of its largest move
+        rescaled = np.clip(STEP_FACTOR * moved, STEP_FLOOR, STEP_MAX)
+        step[act] = np.where(stall, step_act * 0.15, rescaled)
     closed = bool(h_cur.min() <= close_at + CLOSE_TOL)
     return h_cur, ws.conj().transpose(0, 1, 3, 2), converged, sweeps, closed
 

@@ -35,11 +35,11 @@ _PAULI_TABLE = {
 
 def _hamming_weights(bits: int) -> np.ndarray:
     """Popcounts of 0 .. 2**bits - 1; the parity of idx & mask is
-    wt[idx & mask] & 1."""
-    idx = np.arange(1 << bits)
+    wt[idx & mask] & 1.  Built by doubling: the strings with top bit b
+    weigh one more than those below 2**b."""
     w = np.zeros(1 << bits, dtype=np.int64)
     for b in range(bits):
-        w += (idx >> b) & 1
+        w[1 << b:2 << b] = w[:1 << b] + 1
     return w
 
 

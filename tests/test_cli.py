@@ -170,10 +170,10 @@ def test_entropy_closes_on_the_polytope_floor_without_the_flag(tmp_path, capsys)
 # entmin entropy --polytope-bound on hexacode at the CLI defaults: every
 # row after the manifest except the basis
 POLYTOPE_BOUND_ROWS = {
-    "s_upper": 4.000000000253184, "s_lower": 4.0,
+    "s_upper": 4.000000000000726, "s_lower": 4.0,
     "lower_bound_witness": "3-uniform outcome polytope, entropy floor 4",
     "s_lower_heuristic": None, "witness_basis_path": None,
-    "polytope_chain_passed": True, "converged": True, "restarts_agreeing": 18,
+    "polytope_chain_passed": True, "converged": True, "restarts_agreeing": 16,
     "seed": 7,
 }
 

@@ -107,6 +107,16 @@ def test_k_uniform_two_paths_agree(rng):
             assert is_k_uniform(dist, k) == k_uniform_oracle(dist.p, n, k)
 
 
+@pytest.mark.parametrize("bits", list(range(13)) + [18])
+def test_hamming_weights_are_popcounts(bits):
+    idx = np.arange(1 << bits)
+    want = np.zeros(1 << bits, dtype=np.int64)
+    for b in range(bits):
+        want += (idx >> b) & 1
+    got = gf2uniform._hamming_weights(bits)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_parity_constrained_uniform():
     dist = parity_constrained_uniform(6, ((1, 2, 3, 4), (3, 4, 5, 6)))
     nz = np.flatnonzero(dist.p > 0)
