@@ -121,8 +121,9 @@ class OptResult:
 
 
 def _plogp_rows(p: np.ndarray) -> np.ndarray:
-    """Entropy in bits along the last axis of a stack of probability rows."""
-    return -np.add.reduce(p * np.log2(np.maximum(p, 1e-300)), axis=-1)
+    """Entropy in bits along the last axis of a stack of probability rows;
+    0.0 - x rather than -x, so that a zero entropy is +0.0."""
+    return 0.0 - np.add.reduce(p * np.log2(np.maximum(p, 1e-300)), axis=-1)
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -379,36 +380,58 @@ def best_subset_lower_bound(psi: PureState):
     1e-12 rule, reusing the top size's entropies.  The answer is the full
     scan's unless a run of about a thousand subsets climbs the 1e-9 gap in
     steps of under 1e-12 each.
+
+    A size s stops after the chunk in which the best so far reaches its
+    capacity s log2 d less 1e-12: in exact arithmetic no entropy of size s
+    exceeds s log2 d, so no later subset of that size could beat the best
+    by more than 1e-12.  Graph states and AME states reach their capacity
+    at the top size, often in the first chunk.  In floating point the
+    answer is the full scan's unless a later subset's computed entropy
+    rounds to more than the best plus 1e-12, above its capacity.  When the
+    top size stops early, T is within 1e-12 of its capacity, so every
+    smaller size is skipped and the best so far there started from 0.
     """
     n = psi.n
+    log_d = math.log2(psi.d)
     amp = psi.amp.real if not psi.amp.imag.any() else psi.amp
     t = amp.reshape((psi.d,) * n)
     per_chunk = max(1, SUBSET_STACK_AMPLITUDES // psi.dim)
+    best = 0.0
+    witness = ()
 
-    def entropies(size):
+    def take(pairs):
+        nonlocal best, witness
+        for x, val in pairs:
+            if val > best + 1e-12:
+                best = val
+                witness = tuple(a + 1 for a in x)
+
+    def scan(size):
+        """Take one size's (subset, entropy) pairs chunk by chunk until the
+        best reaches the size's capacity; returns the pairs computed."""
         if 2 * size == n:
             subsets = ((0,) + rest
                        for rest in itertools.combinations(range(1, n), size - 1))
         else:
             subsets = itertools.combinations(range(n), size)
-        vals = []
-        while chunk := list(itertools.islice(subsets, per_chunk)):
+        cap = size * log_d - 1e-12
+        pairs = []
+        while best < cap and (chunk := list(itertools.islice(subsets, per_chunk))):
             lam = _clamped_spectrum(np.linalg.eigvalsh(_reduced_states(t, chunk)))
-            vals.extend(zip(chunk, map(_entropy_bits, lam)))
-        return vals
+            fresh = list(zip(chunk, map(_entropy_bits, lam)))
+            take(fresh)
+            pairs += fresh
+        return pairs
 
     top = n // 2
-    top_vals = entropies(top) if top else []
+    top_vals = scan(top) if top else []
     cutoff = max((val for _, val in top_vals), default=0.0) - 1e-9
-    best = 0.0
-    witness = ()
-    for size in range(1, top + 1):
-        if size < top and size * math.log2(psi.d) < cutoff:
-            continue
-        for x, val in top_vals if size == top else entropies(size):
-            if val > best + 1e-12:
-                best = val
-                witness = tuple(a + 1 for a in x)
+    lower = [size for size in range(1, top) if size * log_d >= cutoff]
+    if lower:
+        best, witness = 0.0, ()
+        for size in lower:
+            scan(size)
+        take(top_vals)
     return best, witness
 
 

@@ -61,33 +61,47 @@ class BitDistribution:
         p = np.asarray(self.p, dtype=np.float64)
         if p.shape != (1 << self.n,):
             raise ValidationError(f"need {1 << self.n} probabilities, got shape {p.shape}")
-        if np.any(p < -DIST_TOL):
+        object.__setattr__(self, "p", _checked_rows(p))
+
+
+def _checked_rows(p: np.ndarray) -> np.ndarray:
+    """BitDistribution's checks on each row of a float stack (..., 2**n):
+    no entry below -DIST_TOL and a total within DIST_TOL of 1 (a NaN total
+    fails).  The first failing row raises the error a BitDistribution of
+    it would.  Returns the rows clipped at 0, read-only."""
+    negative = np.any(p < -DIST_TOL, axis=-1).reshape(-1)
+    totals = p.sum(axis=-1).reshape(-1)
+    bad = negative | ~(np.abs(totals - 1.0) <= DIST_TOL)
+    if bad.any():
+        row = int(np.argmax(bad))
+        if negative[row]:
             raise ValidationError("negative probability")
-        total = float(p.sum())
-        if abs(total - 1.0) > DIST_TOL:
-            raise ValidationError(f"probabilities sum to {total!r}")
-        p = np.clip(p, 0.0, None)
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
+        raise ValidationError(f"probabilities sum to {float(totals[row])!r}")
+    p = np.clip(p, 0.0, None)
+    p.setflags(write=False)
+    return p
 
 
 def walsh_transform(values: np.ndarray) -> np.ndarray:
-    """Raw Walsh butterfly on a fresh float copy, O(n 2^n); self-inverse
-    up to the factor 2^n.
+    """Raw Walsh butterfly along the last axis, on a fresh float copy,
+    O(n 2^n) per row; self-inverse up to the factor 2^n.
 
-    Level h views the array as (blocks, 2, h): every block's halves a, b
-    become a + b, a - b in one vectorized step, so there are n numpy steps
-    and no loop over blocks.  The length must be a power of two.
+    Level h views each row as (blocks, 2, h): every block's halves a, b
+    become a + b, a - b in one vectorized step over all rows, so there are
+    n numpy steps and no loop over blocks or rows.  A stack of rows gives
+    bitwise the rows' own transforms.  The last axis's length must be a
+    power of two.
     """
     q = np.array(values, dtype=np.float64)
-    buf = np.empty(q.size // 2)  # the a halves, reused at every level
+    lead, size = q.shape[:-1], q.shape[-1]
+    buf = np.empty(lead + (size // 2,))  # the a halves, reused at every level
     h = 1
-    while h < q.size:
-        v = q.reshape(-1, 2, h)
-        a = buf.reshape(-1, h)
-        np.copyto(a, v[:, 0])
-        v[:, 0] += v[:, 1]
-        np.subtract(a, v[:, 1], out=v[:, 1])
+    while h < size:
+        v = q.reshape(lead + (-1, 2, h))
+        a = buf.reshape(lead + (-1, h))
+        np.copyto(a, v[..., 0, :])
+        v[..., 0, :] += v[..., 1, :]
+        np.subtract(a, v[..., 1, :], out=v[..., 1, :])
         h *= 2
     return q
 
@@ -111,10 +125,15 @@ def is_k_uniform(dist: BitDistribution, k: int, tol: float = DIST_TOL) -> bool:
         raise ValidationError(f"k = {k} out of range for n = {dist.n}")
     if k == 0:
         return True
-    q = fourier(dist)
-    w = _hamming_weights(dist.n)
+    return bool(_k_uniform_rows(dist.p, k, tol))
+
+
+def _k_uniform_rows(p: np.ndarray, k: int, tol: float) -> np.ndarray:
+    """is_k_uniform for each row of a stack of distributions (..., 2**n),
+    1 <= k <= n: one Walsh transform over the stack."""
+    w = _hamming_weights(p.shape[-1].bit_length() - 1)
     mask = (w >= 1) & (w <= k)
-    return bool(np.all(np.abs(q[mask]) <= tol))
+    return np.all(np.abs(walsh_transform(p)[..., mask]) <= tol, axis=-1)
 
 
 def marginal_distribution(dist: BitDistribution, parties) -> BitDistribution:

@@ -49,7 +49,8 @@ class PureState:
                 f"amplitude vector has length {amp.size}, expected {self.d}**{self.n}"
             )
         norm2 = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm2 - 1.0) > NORM_TOL:
+        # written so that a NaN fails: every comparison with NaN is False
+        if not abs(norm2 - 1.0) <= NORM_TOL:
             raise ValidationError(f"state is not normalized: |amp|^2 = {norm2!r}")
         object.__setattr__(self, "amp", _frozen_array(amp))
 
@@ -82,12 +83,13 @@ class DensityMatrix:
 
 def _check_density(rho: np.ndarray) -> None:
     """Reject a matrix, or a stack of them, that is not Hermitian and of
-    unit trace within HERM_TOL; the trace reported is the worst one."""
-    if np.max(np.abs(rho - np.swapaxes(rho.conj(), -1, -2))) > HERM_TOL:
+    unit trace within HERM_TOL; the trace reported is the worst one.  A
+    NaN entry fails."""
+    if not np.max(np.abs(rho - np.swapaxes(rho.conj(), -1, -2))) <= HERM_TOL:
         raise ValidationError("matrix is not Hermitian within 1e-12")
     tr = np.trace(rho, axis1=-2, axis2=-1).reshape(-1)
     worst = complex(tr[np.argmax(np.abs(tr - 1.0))])
-    if abs(worst - 1.0) > HERM_TOL:
+    if not abs(worst - 1.0) <= HERM_TOL:
         raise ValidationError(f"trace is {worst!r}, expected 1")
 
 
@@ -112,7 +114,7 @@ class ProductBasis:
             m = np.asarray(m, dtype=np.complex128)
             if m.shape != (self.d, self.d):
                 raise ValidationError(f"basis {i + 1} has shape {m.shape}")
-            if np.max(np.abs(m.conj().T @ m - eye)) > UNITARY_TOL:
+            if not np.max(np.abs(m.conj().T @ m - eye)) <= UNITARY_TOL:
                 raise ValidationError(f"basis {i + 1} is not unitary within 1e-10")
             mats.append(_frozen_array(m))
         object.__setattr__(self, "u", tuple(mats))
@@ -191,28 +193,30 @@ def outcome_distribution(psi: PureState, b: ProductBasis) -> np.ndarray:
     ws = np.array([u.conj().T for u in b.u])[None]
     p = np.abs(_rotate_all(psi.tensor(), ws).reshape(-1)) ** 2
     s = float(np.sum(p))
-    if abs(s - 1.0) > 1e-10:
+    if not abs(s - 1.0) <= 1e-10:
         raise ValidationError(f"outcome probabilities sum to {s!r}")
     return p / s
 
 
 def _entropy_bits(p: np.ndarray) -> float:
-    """Shannon entropy in bits of a clean probability vector (no checks)."""
+    """Shannon entropy in bits of a clean probability vector (no checks);
+    0.0 - x rather than -x, so that a zero entropy is +0.0."""
     pz = p[p > 0.0]
-    return float(-np.dot(pz, np.log2(pz)))
+    return 0.0 - float(np.dot(pz, np.log2(pz)))
 
 
 def shannon_entropy(p) -> float:
     """Shannon entropy in bits, with the 0 log 0 = 0 convention.
 
     Rejects vectors with entries below -1e-12 or total weight off 1 by more
-    than 1e-9; entries in [-1e-12, 0) are clamped to 0.
+    than 1e-9 (a NaN entry makes the total NaN, which fails); entries in
+    [-1e-12, 0) are clamped to 0.
     """
     p = np.asarray(p, dtype=np.float64).reshape(-1)
     if p.size and float(np.min(p)) < -1e-12:
         raise ValidationError(f"negative probability {float(np.min(p))!r}")
     s = float(np.sum(p))
-    if abs(s - 1.0) > 1e-9:
+    if not abs(s - 1.0) <= 1e-9:
         raise ValidationError(f"probabilities sum to {s!r}, expected 1")
     return _entropy_bits(np.clip(p, 0.0, None))
 

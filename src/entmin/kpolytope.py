@@ -25,15 +25,15 @@ import numpy as np
 from .errors import CapacityError, EntminError, ValidationError
 from .gf2uniform import (
     BitDistribution,
+    _checked_rows,
     _hamming_weights,
-    fourier,
+    _k_uniform_rows,
     inverse_fourier,
     is_k_uniform,
-    marginal_distribution,
     parity_constrained_uniform,
     walsh_transform,
 )
-from .hilbert import shannon_entropy
+from .hilbert import _entropy_bits, shannon_entropy
 from .indexing import mask_of_parties
 
 QPOINT_TOL = 1e-12
@@ -68,24 +68,38 @@ class QPoint53:
             raise ValidationError(f"need 5 single-omission coefficients, got {len(self.qi)}")
         object.__setattr__(self, "qi", tuple(float(v) for v in self.qi))
         object.__setattr__(self, "q", float(self.q))
-        p = _qpoint_probabilities(self)
-        if np.any(p < -QPOINT_TOL):
-            raise ValidationError(f"induced p(x) dips to {float(p.min())!r}")
+        _qpoint_probabilities(np.array([self.q]), np.array([self.qi]))
 
 
-def _qpoint_probabilities(pt: QPoint53) -> np.ndarray:
+def _qpoint_probabilities(q: np.ndarray, qi: np.ndarray) -> np.ndarray:
+    """p(x) induced by m points' free coordinates, q (m,) and qi (m, 5),
+    as an (m, 32) stack; the first point whose p(x) dips below
+    -QPOINT_TOL (or is NaN) raises."""
     x = np.arange(32)
     wt = _hamming_weights(5)
-    bracket = np.full(32, pt.q, dtype=np.float64)
+    bracket = np.repeat(q[:, None], 32, axis=1)
     for i in range(1, 6):
         xi = x & mask_of_parties((i,), 5)
-        bracket += pt.qi[i - 1] * np.where(xi, -1.0, 1.0)
-    return (1.0 + np.where(wt % 2, -1.0, 1.0) * bracket) / 32.0
+        bracket += qi[:, i - 1, None] * np.where(xi, -1.0, 1.0)
+    p = (1.0 + np.where(wt % 2, -1.0, 1.0) * bracket) / 32.0
+    low = p.min(axis=1)
+    dips = np.flatnonzero(~(low >= -QPOINT_TOL))
+    if dips.size:
+        raise ValidationError(f"induced p(x) dips to {float(low[dips[0]])!r}")
+    return p
 
 
 def qpoint_to_distribution(pt: QPoint53) -> BitDistribution:
     """The induced 32-outcome distribution; 3-uniform by construction."""
-    return BitDistribution(5, _qpoint_probabilities(pt))
+    return BitDistribution(5, _qpoint_probabilities(np.array([pt.q]), np.array([pt.qi]))[0])
+
+
+def _p53_face_coords() -> np.ndarray:
+    """The qi of the eleven face vertices as (11, 5) rows, apex first; see
+    enumerate_vertices_p53."""
+    eye = np.eye(5)
+    # np.diag keeps +0.0 off the diagonal, where -eye would put -0.0
+    return np.concatenate((np.zeros((1, 5)), np.diag(np.full(5, -1.0)), (2.0 * eye - 1.0) / 3.0))
 
 
 def enumerate_vertices_p53() -> list:
@@ -97,10 +111,7 @@ def enumerate_vertices_p53() -> list:
     every ray into a point: -e_i and (e_i - sum of the others) / 3.  The
     apex comes first, as the eleventh vertex.
     """
-    eye = np.eye(5)
-    # np.diag keeps +0.0 off the diagonal, where -eye would put -0.0
-    points = [np.zeros(5), *np.diag(np.full(5, -1.0)), *((2.0 * eye - 1.0) / 3.0)]
-    return [QPoint53(q=-1.0 - float(vec.sum()), qi=tuple(vec)) for vec in points]
+    return [QPoint53(q=-1.0 - float(vec.sum()), qi=tuple(vec)) for vec in _p53_face_coords()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,24 +332,24 @@ def min_entropy_over_polytope(spec: PolytopeSpec) -> float:
     return min(shannon_entropy(v.p) for v in verts)
 
 
-def _sample_p63(rng: np.random.Generator) -> BitDistribution:
-    """A random member of P_6^3: project a random distribution onto the
-    3-uniform span, then mix with uniform just enough to stay nonnegative."""
-    raw = rng.random(64)
-    raw /= raw.sum()
-    q = fourier(BitDistribution(6, raw))
+def _p63_members(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count random members of P_6^3 as (count, 64) rows, from one draw of
+    rng: project each random distribution onto the 3-uniform span, then mix
+    it with uniform just enough to stay nonnegative.  Each row is checked
+    as a BitDistribution."""
+    raw = rng.random((count, 64))
+    raw /= raw.sum(axis=1, keepdims=True)
+    q = walsh_transform(_checked_rows(raw))
     wt = _hamming_weights(6)
-    q[(wt >= 1) & (wt <= 3)] = 0.0
+    q[:, (wt >= 1) & (wt <= 3)] = 0.0
     proj = walsh_transform(q) / 64.0
-    m = float(proj.min())
-    if m >= 0.0:
-        p = proj
-    else:
-        u = 1.0 / 64.0
-        lam = 0.95 * u / (u - m)
-        p = (1.0 - lam) * u + lam * proj
+    m = proj.min(axis=1, keepdims=True)
+    u = 1.0 / 64.0
+    # rows with m >= 0 keep proj; the others get lam < 1
+    lam = 0.95 * u / (u - np.minimum(m, 0.0))
+    p = np.where(m >= 0.0, proj, (1.0 - lam) * u + lam * proj)
     p = np.clip(p, 0.0, None)
-    return BitDistribution(6, p / p.sum())
+    return _checked_rows(p / p.sum(axis=1, keepdims=True))
 
 
 def verify_inf6_chain() -> dict:
@@ -346,8 +357,18 @@ def verify_inf6_chain() -> dict:
 
     (a) The two-parity-check distribution is a member with entropy 4, so
     the infimum is at most 4.  (b) Dropping bit 6 maps members into P_5^3
-    without raising entropy (spot-checked on random members).  (c) The
-    face vertices of P_5^3 bottom out at entropy 4.  Together: 4 exactly.
+    without raising entropy (spot-checked on CHAIN_SAMPLES random members).
+    (c) The face vertices of P_5^3 bottom out at entropy 4.  Together: 4
+    exactly.
+
+    The chain takes no input and is recomputed on every call, about 1 ms.
+    Links (b) and (c) each run as one array pass: (b) draws, projects,
+    marginalizes and tests 3-uniformity on (CHAIN_SAMPLES, 64) and
+    (CHAIN_SAMPLES, 32) stacks, (c) builds the (11, 32) face-vertex stack
+    with the kernel QPoint53 uses.  Only the entropies are taken row by
+    row.  Link (b) then reads its samples in order and stops at the first
+    whose marginal is not 3-uniform or gains more than 1e-12 bits; the
+    worst gap covers the samples read.
     """
     report = {"links": {}, "inf6": None, "passed": False}
 
@@ -360,16 +381,16 @@ def verify_inf6_chain() -> dict:
         "passed": bool(link_a),
     }
 
-    rng = np.random.default_rng(CHAIN_SEED)
+    members = _p63_members(np.random.default_rng(CHAIN_SEED), CHAIN_SAMPLES)
+    margs = _checked_rows(members.reshape(CHAIN_SAMPLES, 32, 2).sum(axis=-1))
+    uniform = _k_uniform_rows(margs, 3, 1e-9)
     link_b = True
     worst_gap = 0.0
-    for _ in range(CHAIN_SAMPLES):
-        member = _sample_p63(rng)
-        marg = marginal_distribution(member, (1, 2, 3, 4, 5))
-        if not is_k_uniform(marg, 3, 1e-9):
+    for member, marg, ok in zip(members, margs, uniform):
+        if not ok:
             link_b = False
             break
-        gap = shannon_entropy(marg.p) - shannon_entropy(member.p)
+        gap = _entropy_bits(marg) - _entropy_bits(member)
         worst_gap = max(worst_gap, gap)
         if gap > 1e-12:
             link_b = False
@@ -381,8 +402,9 @@ def verify_inf6_chain() -> dict:
         "passed": bool(link_b),
     }
 
-    verts = enumerate_vertices_p53()
-    entropies = sorted(shannon_entropy(qpoint_to_distribution(v).p) for v in verts)
+    qi = _p53_face_coords()
+    verts = _checked_rows(_qpoint_probabilities(-1.0 - qi.sum(axis=1), qi))
+    entropies = sorted(_entropy_bits(p) for p in verts)
     link_c = len(verts) == 11 and abs(entropies[0] - 4.0) <= 1e-12
     report["links"]["c"] = {
         "name": "face vertices of P_5^3: eleven points, entropy floor 4",

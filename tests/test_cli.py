@@ -426,3 +426,20 @@ def test_console_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-7].startswith("p,parties")
+
+
+def test_entropy_rejects_a_nan_amplitude(tmp_path, capsys):
+    state_file = tmp_path / "nan.json"
+    state_file.write_text('{"n": 2, "d": 2, "amp": [[NaN, 0.0], [0, 0], [0, 0], [1, 0]]}')
+    assert run(["entropy", str(state_file)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_entropy_of_a_product_state_prints_positive_zero(tmp_path, capsys):
+    state_file = tmp_path / "zeros.json"
+    state_file.write_text('{"n": 2, "d": 2, "amp": [[1, 0], [0, 0], [0, 0], [0, 0]]}')
+    assert run(["entropy", str(state_file), "--format", "csv", "--out", "-"]) == 0
+    rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("#"))
+    assert rows["s_upper"] == "0.0"
+    assert rows["s_lower"] == "0.0"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -24,6 +25,7 @@ from entmin.entopt import (
     subset_lower_bound,
 )
 from entmin.errors import EntminError, ValidationError
+from entmin.gf2uniform import bipartition_blocks, gf2_rank
 from entmin.hilbert import (
     EIG_FLOOR,
     ProductBasis,
@@ -327,6 +329,67 @@ def test_subset_scan_rejects_eigenvalues_below_floor(monkeypatch):
             best_subset_lower_bound(psi)
 
 
+def ame_4_3():
+    """|i, j, i+j, i+2j mod 3> / 3: every two-party block is maximally
+    mixed, so size 2 reaches its capacity 2 log2 3 at its first subset."""
+    amp = np.zeros(81)
+    for i, j in itertools.product(range(3), repeat=2):
+        amp[27 * i + 9 * j + 3 * ((i + j) % 3) + (i + 2 * j) % 3] = 1.0 / 3.0
+    return PureState(4, 3, amp)
+
+
+def test_subset_scan_stops_a_size_at_its_capacity(monkeypatch):
+    psi = ame_4_3()
+    want = subset_bound_oracle(psi)
+    # one subset per chunk: the scan stops after the first of the three
+    # size-2 subsets that hold party 1, and size 1 cannot win
+    monkeypatch.setattr(entopt, "SUBSET_STACK_AMPLITUDES", psi.dim)
+    calls = count_eigvalsh(monkeypatch)
+    val, witness = best_subset_lower_bound(psi)
+    assert calls == [1]
+    assert witness == (1, 2) == want[1]
+    assert abs(val - 2.0 * math.log2(3.0)) <= 1e-12
+    assert abs(val - want[0]) <= 1e-12
+
+
+def certify_graph(seed):
+    """The 12-vertex random graph of the certify benchmark, drawn as it
+    draws it: after a 12-qubit random state from the same generator."""
+    rng = np.random.default_rng([seed, 4])
+    rng.standard_normal(1 << 12)
+    rng.standard_normal(1 << 12)
+    upper = np.triu(rng.integers(0, 2, size=(12, 12)), 1)
+    return GraphSpec(12, (upper + upper.T).astype(np.uint8))
+
+
+def balanced_cut_rank(g):
+    """Largest GF(2) rank of A_bw over the balanced cuts with vertex 1 white."""
+    return max(gf2_rank(bipartition_blocks(g, (1,) + rest)[1])
+               for rest in itertools.combinations(range(2, g.v + 1), g.v // 2 - 1))
+
+
+def test_graph_state_scan_ends_with_its_first_chunk(monkeypatch):
+    g = certify_graph(1)
+    calls = count_eigvalsh(monkeypatch)
+    val, witness = best_subset_lower_bound(graph_state(g))
+    # 16 subsets per chunk at 12 qubits; the first chunk reaches 6 bits
+    assert calls == [SUBSET_STACK_AMPLITUDES >> 12] == [16]
+    assert val == balanced_cut_rank(g) == 6
+    assert witness == (1, 2, 3, 4, 5, 6)
+
+
+def test_sixteen_qubit_graph_state_reaches_eight_bits_in_a_few_subsets(monkeypatch):
+    rng = np.random.default_rng(16)
+    upper = np.triu(rng.integers(0, 2, size=(16, 16)), 1)
+    psi = graph_state(GraphSpec(16, (upper + upper.T).astype(np.uint8)))
+    calls = count_eigvalsh(monkeypatch)
+    val, witness = best_subset_lower_bound(psi)
+    # one subset per chunk at 16 qubits, against C(15, 7) = 6435 of size 8
+    assert abs(val - 8.0) <= 1e-12
+    assert len(witness) == 8
+    assert calls == [1] * len(calls) and len(calls) <= 8
+
+
 def fail_the_chain(monkeypatch):
     monkeypatch.setattr(kpolytope, "verify_inf6_chain",
                         lambda: {"links": {}, "inf6": None, "passed": False})
@@ -563,3 +626,14 @@ def test_chain_runs_only_for_three_uniform_states(monkeypatch):
     cfg = OptConfig(restarts=3, max_sweeps=20, seed=7)
     for psi in (ghz(6, 2), random_state(6, 2, np.random.default_rng(6))):
         assert minimize_entropy(psi, cfg).s_upper > 0.0
+
+
+def test_zero_entropies_are_positive_zero():
+    assert math.copysign(1.0, entopt._plogp_rows(np.array([[1.0, 0.0]]))[0]) == 1.0
+    zeros = PureState(2, 2, np.array([1.0, 0.0, 0.0, 0.0]))
+    assert math.copysign(1.0, entropy_for_bases(zeros, identity_basis(2, 2))) == 1.0
+    res = minimize_entropy(zeros, OptConfig(restarts=2))
+    assert math.copysign(1.0, res.s_upper) == 1.0
+    # nonzero rows are unchanged: 0.0 - x is -x bitwise
+    p = np.array([[0.5, 0.5], [0.25, 0.75]])
+    assert np.array_equal(entopt._plogp_rows(p), -np.add.reduce(p * np.log2(p), axis=-1))

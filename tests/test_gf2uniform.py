@@ -452,3 +452,41 @@ def test_graph_reduced_density_caps_kept_block_before_allocating(monkeypatch):
     monkeypatch.setattr(gf2uniform, "np", NoNumpy())
     with pytest.raises(CapacityError):
         graph_reduced_density(g, tuple(range(1, 14)))
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_stacked_walsh_transform_equals_its_rows_bitwise(n, rng):
+    stack = rng.standard_normal((3, 5, 1 << n))
+    before = stack.copy()
+    rows = np.array([[walsh_transform(row) for row in block] for block in stack])
+    assert np.array_equal(walsh_transform(stack).view(np.int64), rows.view(np.int64))
+    assert np.array_equal(stack, before)
+
+
+def test_bitdistribution_rejects_nan():
+    with pytest.raises(ValidationError, match="sum to nan"):
+        BitDistribution(1, np.array([np.nan, 1.0]))
+
+
+def test_checked_rows_raise_as_the_first_failing_row(rng):
+    good = random_dist(2, rng).p
+    off_sum = np.array([0.5, 0.25, 0.0, 0.0])
+    negative = np.array([1.2, -0.2, 0.0, 0.0])
+    for first, second in ((off_sum, negative), (negative, off_sum)):
+        with pytest.raises(ValidationError) as single:
+            BitDistribution(2, first)
+        with pytest.raises(ValidationError) as stacked:
+            gf2uniform._checked_rows(np.array([good, first, second]))
+        assert str(stacked.value) == str(single.value)
+    rows = gf2uniform._checked_rows(np.array([good, [0.5, 0.5, 0.0, -1e-12]]))
+    assert not rows.flags.writeable
+    assert np.array_equal(rows[1], [0.5, 0.5, 0.0, 0.0])
+
+
+def test_k_uniform_rows_match_is_k_uniform(rng):
+    dists = [parity_constrained_uniform(4, ((1, 2, 3),)), random_dist(4, rng),
+             BitDistribution(4, np.full(16, 1 / 16))]
+    stack = np.array([d.p for d in dists])
+    for k in range(1, 5):
+        want = [is_k_uniform(d, k) for d in dists]
+        assert gf2uniform._k_uniform_rows(stack, k, 1e-10).tolist() == want

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from entmin.hilbert import (
     DensityMatrix,
     ProductBasis,
     PureState,
+    _entropy_bits,
     _reduced_states,
     embed_local_dims,
     identity_basis,
@@ -203,3 +205,45 @@ def test_load_state_rejects_garbage(tmp_path):
 def test_product_basis_rejects_nonunitary():
     with pytest.raises(ValidationError):
         ProductBasis(1, 2, (np.array([[1.0, 1.0], [0.0, 1.0]]),))
+
+
+def nan_first(a):
+    a = np.array(a, dtype=np.complex128)
+    a.flat[0] = complex(np.nan, 0.0)
+    return a
+
+
+def test_constructors_reject_nan():
+    with pytest.raises(ValidationError, match="nan"):
+        PureState(2, 2, nan_first([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValidationError, match="not unitary"):
+        ProductBasis(1, 2, (nan_first(np.eye(2)),))
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        DensityMatrix(2, nan_first(np.eye(2) / 2.0))
+    with pytest.raises(ValidationError, match="sum to nan"):
+        shannon_entropy([np.nan, 1.0])
+
+
+def test_outcome_distribution_rejects_nan():
+    psi = PureState(1, 2, np.array([1.0, 0.0]))
+    # a state with a NaN cannot be built, so put one past the constructor
+    object.__setattr__(psi, "amp", nan_first(psi.amp))
+    with pytest.raises(ValidationError, match="sum to nan"):
+        outcome_distribution(psi, identity_basis(1, 2))
+
+
+def test_finite_inputs_keep_their_error_texts():
+    with pytest.raises(ValidationError, match=r"\|amp\|\^2 = 2\.0"):
+        PureState(1, 2, np.array([1.0, 1.0]))
+    with pytest.raises(ValidationError, match="sum to 0.5, expected 1"):
+        shannon_entropy([0.25, 0.25])
+    with pytest.raises(ValidationError, match="trace is"):
+        DensityMatrix(2, np.eye(2))
+
+
+def test_zero_entropy_is_positive_zero():
+    for p in ([1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0]):
+        assert math.copysign(1.0, _entropy_bits(np.array(p))) == 1.0
+        assert math.copysign(1.0, shannon_entropy(p)) == 1.0
+    # a nonzero entropy is unchanged
+    assert shannon_entropy([0.5, 0.5]) == 1.0

@@ -1,12 +1,20 @@
 import collections
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from entmin import kpolytope
+from entmin import hilbert, kpolytope
 from entmin.errors import CapacityError, ValidationError
-from entmin.gf2uniform import BitDistribution, is_k_uniform
+from entmin.gf2uniform import (
+    BitDistribution,
+    _hamming_weights,
+    fourier,
+    is_k_uniform,
+    marginal_distribution,
+    walsh_transform,
+)
 from entmin.hilbert import shannon_entropy
 from entmin.kpolytope import (
     DEDUP_DECIMALS,
@@ -244,3 +252,102 @@ def test_verify_inf6_chain():
     assert set(report["links"]) == {"a", "b", "c"}
     assert report["links"]["b"]["samples"] == 25
     assert report["links"]["c"]["vertex_count"] == 11
+
+
+# json.dumps(verify_inf6_chain(), sort_keys=True) of the chain as first
+# written, one sample and one vertex at a time
+CHAIN_REPORT = (
+    '{"inf6": 4.0, "links": {"a": {"entropy": 4.0, "name": "two-check distribution '
+    'lies in P_6^3 with entropy 4", "passed": true}, "b": {"name": "bit-6 marginal '
+    'stays 3-uniform and does not gain entropy", "passed": true, "samples": 25, '
+    '"worst_entropy_gap": 0.0}, "c": {"min_entropy": 4.0, "name": "face vertices of '
+    'P_5^3: eleven points, entropy floor 4", "passed": true, "vertex_count": 11}}, '
+    '"passed": true}'
+)
+
+
+def test_chain_report_is_pinned():
+    assert json.dumps(verify_inf6_chain(), sort_keys=True) == CHAIN_REPORT
+
+
+def sample_p63(rng):
+    """One member of P_6^3 as the chain drew it before batching."""
+    raw = rng.random(64)
+    raw /= raw.sum()
+    q = fourier(BitDistribution(6, raw))
+    wt = _hamming_weights(6)
+    q[(wt >= 1) & (wt <= 3)] = 0.0
+    proj = walsh_transform(q) / 64.0
+    m = float(proj.min())
+    if m < 0.0:
+        u = 1.0 / 64.0
+        lam = 0.95 * u / (u - m)
+        proj = (1.0 - lam) * u + lam * proj
+    p = np.clip(proj, 0.0, None)
+    return BitDistribution(6, p / p.sum())
+
+
+def loop_link_b(members):
+    """Link (b) over the members one at a time: (passed, worst gap)."""
+    worst = 0.0
+    for p in members:
+        member = BitDistribution(6, p)
+        marg = marginal_distribution(member, (1, 2, 3, 4, 5))
+        if not is_k_uniform(marg, 3, 1e-9):
+            return False, worst
+        gap = shannon_entropy(marg.p) - shannon_entropy(member.p)
+        worst = max(worst, gap)
+        if gap > 1e-12:
+            return False, worst
+    return True, worst
+
+
+def test_chain_members_equal_the_one_at_a_time_draws():
+    members = kpolytope._p63_members(np.random.default_rng(kpolytope.CHAIN_SEED), 25)
+    rng = np.random.default_rng(kpolytope.CHAIN_SEED)
+    loop = np.array([sample_p63(rng).p for _ in range(25)])
+    assert np.array_equal(members.view(np.int64), loop.view(np.int64))
+    assert loop_link_b(members) == (True, 0.0)
+
+
+def test_a_failing_member_ends_link_b_as_the_loop_does(monkeypatch):
+    real = kpolytope._p63_members(np.random.default_rng(kpolytope.CHAIN_SEED), 25)
+    # a point mass is a distribution but not 3-uniform, at sample 7;
+    # samples 0..6 are read first, and their gaps are all negative
+    broken = real.copy()
+    broken[7] = np.eye(64)[5]
+    monkeypatch.setattr(kpolytope, "_p63_members", lambda rng, count: broken)
+    link = verify_inf6_chain()["links"]["b"]
+    assert (link["passed"], link["worst_entropy_gap"]) == loop_link_b(broken) == (False, 0.0)
+    # a member that gains entropy under the marginal cannot be drawn, so
+    # raise the entropy of sample 3's marginal by 2 bits and sample 5's by
+    # 3 bits instead: the link stops at sample 3, so the worst gap is its
+    margs = real.reshape(25, 32, 2).sum(axis=2)
+
+    def entropy_bits(p):
+        bump = {3: 2.0, 5: 3.0}
+        return hilbert._entropy_bits(p) + sum(
+            v for k, v in bump.items() if np.array_equal(p, margs[k]))
+
+    monkeypatch.setattr(kpolytope, "_p63_members", lambda rng, count: real)
+    monkeypatch.setattr(kpolytope, "_entropy_bits", entropy_bits)
+    link = verify_inf6_chain()["links"]["b"]
+    gaps = [entropy_bits(marg) - hilbert._entropy_bits(m) for marg, m in zip(margs[:4], real)]
+    assert link["passed"] is False
+    assert link["worst_entropy_gap"] == max(0.0, *gaps) == gaps[3] > 1e-12
+
+
+def test_chain_face_vertices_equal_the_qpoint_distributions():
+    qi = kpolytope._p53_face_coords()
+    stack = kpolytope._qpoint_probabilities(-1.0 - qi.sum(axis=1), qi)
+    points = enumerate_vertices_p53()
+    assert np.array_equal(np.array([v.qi for v in points]), qi)
+    one_at_a_time = np.array([qpoint_to_distribution(v).p for v in points])
+    assert np.array_equal(np.clip(stack, 0.0, None), one_at_a_time)
+
+
+def test_qpoint_rejects_nan_and_dips():
+    with pytest.raises(ValidationError, match="dips to nan"):
+        QPoint53(q=np.nan, qi=(0.0,) * 5)
+    with pytest.raises(ValidationError, match="dips to -"):
+        QPoint53(q=2.0, qi=(0.0,) * 5)
