@@ -79,7 +79,7 @@ class OptConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValidationError(f"restarts = {self.restarts} must be >= 1")
-        if self.tol <= 0:
+        if not self.tol > 0:  # a NaN tol would never let a start stall
             raise ValidationError(f"tol = {self.tol} must be positive")
         if self.max_sweeps < 1:
             raise ValidationError(f"max_sweeps = {self.max_sweeps} must be >= 1")
@@ -384,12 +384,12 @@ def best_subset_lower_bound(psi: PureState):
     A size s stops after the chunk in which the best so far reaches its
     capacity s log2 d less 1e-12: in exact arithmetic no entropy of size s
     exceeds s log2 d, so no later subset of that size could beat the best
-    by more than 1e-12.  Graph states and AME states reach their capacity
-    at the top size, often in the first chunk.  In floating point the
-    answer is the full scan's unless a later subset's computed entropy
-    rounds to more than the best plus 1e-12, above its capacity.  When the
-    top size stops early, T is within 1e-12 of its capacity, so every
-    smaller size is skipped and the best so far there started from 0.
+    by more than 1e-12.  AME states and many graph states reach their
+    capacity at the top size, often in the first chunk.  In floating
+    point the answer is the full scan's unless a later subset's computed
+    entropy rounds to more than the best plus 1e-12, above its capacity.
+    When the top size stops early, T is within 1e-12 of its capacity, so
+    every smaller size is skipped and the best so far there started from 0.
     """
     n = psi.n
     log_d = math.log2(psi.d)

@@ -637,3 +637,8 @@ def test_zero_entropies_are_positive_zero():
     # nonzero rows are unchanged: 0.0 - x is -x bitwise
     p = np.array([[0.5, 0.5], [0.25, 0.75]])
     assert np.array_equal(entopt._plogp_rows(p), -np.add.reduce(p * np.log2(p), axis=-1))
+
+
+def test_config_rejects_a_nan_tol():
+    with pytest.raises(ValidationError, match="tol = nan"):
+        OptConfig(tol=float("nan"))
