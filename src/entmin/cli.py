@@ -20,7 +20,7 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 from . import entopt, gf2uniform, kpolytope, states, verify
@@ -136,26 +136,16 @@ def cmd_entropy(args) -> int:
     manifest = RunManifest("entropy", {
         "state": args.state, "restarts": args.restarts, "tol": args.tol,
         "max_sweeps": args.max_sweeps, "embed_dim": args.embed_dim,
-        "overlap_bound": args.overlap_bound, "polytope_bound": args.polytope_bound,
+        "overlap_bound": args.overlap_bound,
     }, seed=args.seed)
     manifest.add_input(args.state)
     psi = load_state(args.state)
     if args.embed_dim is not None:
         psi = embed_local_dims(psi, args.embed_dim)
 
-    floor = entopt.polytope_floor(psi) if args.polytope_bound else None
     cfg = OptConfig(restarts=args.restarts, max_sweeps=args.max_sweeps,
                     tol=args.tol, seed=args.seed)
     res = entopt.minimize_entropy(psi, cfg, include_overlap_bound=args.overlap_bound)
-    # the search closes on every floor it finds but reports the subset
-    # bound; a certified floor above it replaces it here (the polytope one
-    # only under --polytope-bound), and the two never apply to one state
-    for value, named in (
-            (floor, "3-uniform outcome polytope, entropy floor 4"),
-            (entopt.antisymmetric_floor(psi),
-             f"antisymmetric state, entropy floor log2({psi.n}!)")):
-        if value is not None and value > res.s_lower:
-            res = replace(res, s_lower=value, lower_bound_witness=named)
     report = entopt.result_to_dict(res)
 
     report["witness_basis_path"] = args.basis_out
@@ -163,13 +153,10 @@ def cmd_entropy(args) -> int:
         with open(args.basis_out, "w", encoding="utf-8") as f:
             json.dump({"n": psi.n, "d": psi.d, "basis": report["basis"]}, f)
 
-    if args.polytope_bound:
-        report["polytope_chain_passed"] = floor is not None
-
     rows = [(k, report[k]) for k in
-            ("s_upper", "s_lower", "lower_bound_witness", "s_lower_heuristic",
-             "witness_basis_path", "polytope_chain_passed", "converged",
-             "restarts_agreeing", "seed") if k in report]
+            ("s_upper", "s_lower", "lower_bound_witness", "floor", "floor_witness",
+             "s_lower_heuristic", "witness_basis_path", "converged",
+             "restarts_agreeing", "seed")]
     _emit(report, manifest, args, csv_rows=rows, csv_header=("field", "value"))
     return 0
 
@@ -299,9 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--overlap-bound", action="store_true",
                     help="also report the heuristic product-overlap lower "
                          "bound, as s_lower_heuristic")
-    ep.add_argument("--polytope-bound", action="store_true",
-                    help="6-qubit states with maximally mixed 3-blocks: "
-                         "apply the entropy-4 polytope floor")
     add_io(ep)
     ep.set_defaults(func=cmd_entropy)
 

@@ -14,10 +14,10 @@ Upper bounds come from the search; rigorous lower bounds from subset von
 Neumann entropies and from certificates that refuse what they cannot
 prove: for 6-qubit states whose 3-qubit blocks are all maximally mixed,
 the 3-uniform polytope floor, and for antisymmetric states, log2(n!).
-The search stops once a restart reaches the highest floor it knows.  The
-product-overlap bound is heuristic unless the found overlap is
-corroborated by an analytic value, so it is reported in its own field and
-never raises the rigorous s_lower.
+minimize_entropy takes the highest of these once, stops once a restart
+reaches it, and returns it as OptResult.floor.  The product-overlap bound
+is heuristic unless the found overlap is corroborated by an analytic
+value, so it is reported in its own field and never raises a rigorous one.
 """
 
 from __future__ import annotations
@@ -87,11 +87,17 @@ class OptConfig:
 
 @dataclass(frozen=True, eq=False)
 class OptResult:
-    """Bracket [s_lower, s_upper] with the basis that attains s_upper.
+    """Bracket [floor, s_upper] with the basis that attains s_upper.
+
+    ``s_lower`` is the best subset bound and ``lower_bound_witness`` names
+    its subset ("subset (1, 2)", or "none" when no subset has positive
+    entropy).  ``floor`` is
+    the highest rigorous floor: s_lower, or a certificate above it, which
+    ``floor_witness`` names.
 
     ``converged`` is True when the best restart passed its own convergence
     test, or when the search closed: its best entropy came within
-    CLOSE_TOL of a rigorous floor, so the basis is optimal to that
+    CLOSE_TOL of the floor, so the basis is optimal to that
     tolerance, possibly after zero sweeps when a start already sat on the
     floor.  ``restarts_agreeing`` counts the starts within AGREE_TOL of
     the best among those evaluated: every start of the batches that ran,
@@ -103,6 +109,8 @@ class OptResult:
     basis: ProductBasis
     s_lower: float
     lower_bound_witness: str
+    floor: float
+    floor_witness: str
     converged: bool
     restarts_agreeing: int
     seed: int
@@ -112,9 +120,10 @@ class OptResult:
     s_lower_heuristic: float | None = None
 
     def __post_init__(self):
-        if self.s_lower > self.s_upper + 1e-9:
+        lower = max(self.s_lower, self.floor)
+        if lower > self.s_upper + 1e-9:
             raise EntminError(
-                f"lower bound {self.s_lower} exceeds upper bound {self.s_upper}")
+                f"lower bound {lower} exceeds upper bound {self.s_upper}")
         cap = self.basis.n * math.log2(self.basis.d)
         if not -1e-9 <= self.s_upper <= cap + 1e-9:
             raise EntminError(f"s_upper = {self.s_upper} outside [0, {cap}]")
@@ -436,33 +445,21 @@ def best_subset_lower_bound(psi: PureState):
 
 
 def polytope_floor(psi: PureState) -> float | None:
-    """Entropy floor of every product-basis measurement of psi, from the
-    3-uniform outcome polytope: 4.0, or None if the inf6 chain fails.
+    """Entropy floor 4.0 of every product-basis measurement of psi, from
+    the 3-uniform outcome polytope, or None.
 
-    The floor holds only for 6-qubit states whose twenty 3-qubit blocks
-    are all within 1e-9 of I/8 (then every product-basis outcome
-    distribution is 3-uniform); any other state raises ValidationError.
+    The floor holds for 6-qubit states whose twenty 3-qubit blocks are all
+    within 1e-9 of I/8: then every product-basis outcome distribution is
+    3-uniform, and the inf6 chain bounds those at 4.  Any other state, or
+    a failing chain, gives None; the chain runs only for states that pass
+    the block test.
     """
-    if psi.n != 6 or psi.d != 2:
-        raise ValidationError("the polytope floor needs a 6-party qubit state")
-    unmixed = _unmixed_block(psi)
-    if unmixed is not None:
-        block, dev = unmixed
-        raise ValidationError(
-            f"block {block} is not maximally mixed (deviation {dev:.3g})")
+    if (psi.n, psi.d) != (6, 2):
+        return None
+    rho = _reduced_states(psi.tensor(), list(itertools.combinations(range(6), 3)))
+    if not np.max(np.abs(rho - np.eye(8) / 8.0)) <= 1e-9:
+        return None
     return kpolytope.verify_inf6_chain()["inf6"]
-
-
-def _unmixed_block(psi: PureState):
-    """First of a 6-qubit psi's twenty 3-qubit blocks, 1-based, whose
-    reduced state is farther than 1e-9 from I/8, with that deviation; None
-    if every block is within it."""
-    blocks = list(itertools.combinations(range(6), 3))
-    rho = _reduced_states(psi.tensor(), blocks)
-    for x, dev in zip(blocks, np.max(np.abs(rho - np.eye(8) / 8.0), axis=(1, 2))):
-        if dev > 1e-9:
-            return tuple(a + 1 for a in x), dev
-    return None
 
 
 def antisymmetric_floor(psi: PureState) -> float | None:
@@ -570,11 +567,12 @@ def minimize_entropy(psi: PureState, cfg: OptConfig = OptConfig(),
     best subset bound, scanned before the search; include_overlap_bound
     adds the product-overlap bound as s_lower_heuristic.
 
-    The search closes at the highest rigorous floor it knows: the subset
-    bound, the antisymmetric floor when psi has one, and the polytope
-    floor when psi has 6 qubits whose 3-qubit blocks are all within 1e-9
-    of I/8 (only then does the inf6 chain run).  A batch stops as soon as
-    its best entropy is within CLOSE_TOL of that floor, before its first
+    The floor is the highest of the subset bound, antisymmetric_floor and
+    polytope_floor, each evaluated once (the inf6 chain runs only for
+    6-qubit states whose 3-qubit blocks pass the I/8 test); a certificate
+    replaces the subset bound only when it lies strictly above it.  The
+    result returns it as floor and floor_witness.  A batch stops as soon
+    as its best entropy is within CLOSE_TOL of the floor, before its first
     sweep if a start already is (det(n) from the identity basis, GHZ, any
     two-party state from its marginal eigenbases), and the batches not
     yet started are skipped.  The rule counts sweeps, not time, so results
@@ -582,21 +580,24 @@ def minimize_entropy(psi: PureState, cfg: OptConfig = OptConfig(),
     batching, which MAX_AMPLITUDES fixes.  A closed search reports
     converged = True, and restarts_agreeing counts the evaluated starts of
     the batches that ran, those of the closing batch at the entropies it
-    closed with.  Only the subset bound enters s_lower: a caller that
-    trusts another floor applies it to the result itself.
+    closed with.
     """
     s_lower, subset = best_subset_lower_bound(psi)
     witness = f"subset {subset}" if subset else "none"
-    close_at = max(s_lower, antisymmetric_floor(psi) or 0.0)
-    if psi.n == 6 and psi.d == 2 and _unmixed_block(psi) is None:
-        close_at = max(close_at, kpolytope.verify_inf6_chain()["inf6"] or 0.0)
+    floor, floor_witness = s_lower, witness
+    for value, named in (
+            (antisymmetric_floor(psi),
+             f"antisymmetric state, entropy floor log2({psi.n}!)"),
+            (polytope_floor(psi), "3-uniform outcome polytope, entropy floor 4")):
+        if value is not None and value > floor:
+            floor, floor_witness = value, named
 
     starts = _initial_bases(psi, cfg.restarts, cfg.seed)
     t = psi.tensor()
     batch = _batch_size(psi.n, psi.d, cfg.restarts)
     runs = []
     for i in range(0, cfg.restarts, batch):
-        runs.append(_run_lockstep(t, starts[i:i + batch], cfg, close_at))
+        runs.append(_run_lockstep(t, starts[i:i + batch], cfg, floor))
         if runs[-1][4]:
             break
     h, us, converged = (np.concatenate([run[j] for run in runs]) for j in range(3))
@@ -615,7 +616,7 @@ def minimize_entropy(psi: PureState, cfg: OptConfig = OptConfig(),
         seed_vecs = [tuple(basis.u[i][:, digits[i]] for i in range(psi.n))]
         m_star = max_product_overlap(psi, cfg, extra_seeds=seed_vecs)
         heuristic = -math.log2(max(m_star, 1e-300))
-    return OptResult(s_upper, basis, s_lower, witness,
+    return OptResult(s_upper, basis, s_lower, witness, floor, floor_witness,
                      bool(converged[best]) or closed, agreeing,
                      cfg.seed, heuristic)
 
@@ -628,6 +629,8 @@ def result_to_dict(res: OptResult) -> dict:
         "s_upper": res.s_upper,
         "s_lower": res.s_lower,
         "lower_bound_witness": res.lower_bound_witness,
+        "floor": res.floor,
+        "floor_witness": res.floor_witness,
         "s_lower_heuristic": res.s_lower_heuristic,
         "basis": basis,
         "converged": res.converged,

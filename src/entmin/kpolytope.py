@@ -367,8 +367,11 @@ def verify_inf6_chain() -> dict:
     (CHAIN_SAMPLES, 32) stacks, (c) builds the (11, 32) face-vertex stack
     with the kernel QPoint53 uses.  Only the entropies are taken row by
     row.  Link (b) then reads its samples in order and stops at the first
-    whose marginal is not 3-uniform or gains more than 1e-12 bits; the
-    worst gap covers the samples read.
+    whose marginal is not 3-uniform or gains more than 1e-12 bits; its
+    worst_entropy_gap is the largest gap among the samples read, None if
+    sample 0's marginal is not 3-uniform.  Both facts the link samples
+    hold for every distribution, so its gaps sit far below 0 (the largest
+    is about -0.884 bits): the link checks the code, not the claim.
     """
     report = {"links": {}, "inf6": None, "passed": False}
 
@@ -384,21 +387,18 @@ def verify_inf6_chain() -> dict:
     members = _p63_members(np.random.default_rng(CHAIN_SEED), CHAIN_SAMPLES)
     margs = _checked_rows(members.reshape(CHAIN_SAMPLES, 32, 2).sum(axis=-1))
     uniform = _k_uniform_rows(margs, 3, 1e-9)
-    link_b = True
-    worst_gap = 0.0
+    gaps = []
     for member, marg, ok in zip(members, margs, uniform):
         if not ok:
-            link_b = False
             break
-        gap = _entropy_bits(marg) - _entropy_bits(member)
-        worst_gap = max(worst_gap, gap)
-        if gap > 1e-12:
-            link_b = False
+        gaps.append(_entropy_bits(marg) - _entropy_bits(member))
+        if gaps[-1] > 1e-12:
             break
+    link_b = len(gaps) == CHAIN_SAMPLES and max(gaps) <= 1e-12
     report["links"]["b"] = {
         "name": "bit-6 marginal stays 3-uniform and does not gain entropy",
         "samples": CHAIN_SAMPLES,
-        "worst_entropy_gap": worst_gap,
+        "worst_entropy_gap": max(gaps, default=None),
         "passed": bool(link_b),
     }
 

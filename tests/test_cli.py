@@ -94,29 +94,16 @@ def test_entropy_embed_dim(tmp_path, capsys):
     assert len(rep["basis"][0]) == 3
 
 
-def test_entropy_polytope_bound_on_hexacode(tmp_path, capsys):
-    state_file = tmp_path / "hexa.json"
-    assert run(["state", "build", "hexacode", "--out", str(state_file)]) == 0
-    capsys.readouterr()
-    assert run(["entropy", str(state_file), "--restarts", "8",
-                "--polytope-bound", "--out", "-"]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["polytope_chain_passed"] is True
-    assert rep["s_lower"] == 4.0
-    assert "polytope" in rep["lower_bound_witness"]
-    assert rep["s_upper"] <= 4.0 + 1e-6
-
-
-def test_entropy_polytope_bound_rejects_other_states(tmp_path):
-    state_file = tmp_path / "ghz.json"
-    assert run(["state", "build", "ghz", "--n", "3",
-                "--out", str(state_file)]) == 0
-    assert run(["entropy", str(state_file), "--polytope-bound"]) == 2
+def test_entropy_takes_no_polytope_bound_option(tmp_path):
+    # the search returns the polytope floor itself; no option asks for it
+    with pytest.raises(SystemExit) as exc:
+        run(["entropy", hexacode_file(tmp_path), "--polytope-bound"])
+    assert exc.value.code == 2
 
 
 def record_searches(monkeypatch):
     """Wrap entopt.minimize_entropy; the list gets each call's keyword
-    arguments and its own result, before the CLI applies any floor."""
+    arguments and its result."""
     calls = []
     orig = entopt.minimize_entropy
 
@@ -135,14 +122,17 @@ def test_entropy_applies_the_antisymmetric_floor(tmp_path, capsys, monkeypatch):
     calls = record_searches(monkeypatch)
     assert run(["entropy", str(state_file), "--out", "-"]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert abs(rep["s_lower"] - math.log2(24)) <= 1e-11
-    assert rep["lower_bound_witness"] == "antisymmetric state, entropy floor log2(4!)"
+    # s_lower is the subset bound; the floor is the antisymmetric one
+    assert (rep["s_lower"], rep["lower_bound_witness"]) == (2.5849625007211565,
+                                                            "subset (1, 2)")
+    assert rep["floor"] == math.log2(24) - 1e-12
+    assert rep["floor_witness"] == "antisymmetric state, entropy floor log2(4!)"
     assert abs(rep["s_upper"] - math.log2(24)) <= 1e-9
     assert rep["converged"] is True
-    # minimize_entropy finds the floor itself and reports the subset bound
+    # the report is minimize_entropy's result as it is
     [(kwargs, res)] = calls
     assert kwargs == {"include_overlap_bound": False}
-    assert res.lower_bound_witness == "subset (1, 2)"
+    assert {k: rep[k] for k in entopt.result_to_dict(res)} == entopt.result_to_dict(res)
 
 
 def test_entropy_without_certificate_closes_at_the_subset_bound(
@@ -153,39 +143,41 @@ def test_entropy_without_certificate_closes_at_the_subset_bound(
     assert run(["entropy", str(state_file), "--out", "-"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert len(calls) == 1
-    assert rep["lower_bound_witness"] == "subset (1,)"
+    assert rep["lower_bound_witness"] == rep["floor_witness"] == "subset (1,)"
+    assert rep["s_lower"] == rep["floor"]
     assert abs(rep["s_upper"] - 1.0) <= 1e-9 and rep["converged"] is True
 
 
 def test_entropy_closes_on_the_polytope_floor_without_the_flag(tmp_path, capsys):
-    # the search finds the floor 4 itself, but s_lower stays the subset bound
+    # the search finds the floor 4 itself and reports it as the floor, but
+    # s_lower stays the subset bound, which the benchmark parses
     assert run(["entropy", hexacode_file(tmp_path), "--out", "-"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert (rep["s_lower"], rep["lower_bound_witness"]) == (3.0, "subset (1, 2, 3)")
+    assert (rep["floor"], rep["floor_witness"]) == (
+        4.0, "3-uniform outcome polytope, entropy floor 4")
     assert rep["converged"] is True
     assert abs(rep["s_upper"] - 4.0) <= 1e-9
-    assert "polytope_chain_passed" not in rep
 
 
-# entmin entropy --polytope-bound on hexacode at the CLI defaults: every
-# row after the manifest except the basis
+# entmin entropy on hexacode at the CLI defaults: every row after the
+# manifest except the basis
 POLYTOPE_BOUND_ROWS = {
-    "s_upper": 4.000000000000726, "s_lower": 4.0,
-    "lower_bound_witness": "3-uniform outcome polytope, entropy floor 4",
+    "s_upper": 4.000000000000726, "s_lower": 3.0,
+    "lower_bound_witness": "subset (1, 2, 3)", "floor": 4.0,
+    "floor_witness": "3-uniform outcome polytope, entropy floor 4",
     "s_lower_heuristic": None, "witness_basis_path": None,
-    "polytope_chain_passed": True, "converged": True, "restarts_agreeing": 16,
-    "seed": 7,
+    "converged": True, "restarts_agreeing": 16, "seed": 7,
 }
 
 
 def test_entropy_polytope_bound_rows_are_unchanged(tmp_path, capsys):
     state = hexacode_file(tmp_path)
-    assert run(["entropy", state, "--polytope-bound", "--out", "-"]) == 0
+    assert run(["entropy", state, "--out", "-"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert {k: rep[k] for k in POLYTOPE_BOUND_ROWS} == POLYTOPE_BOUND_ROWS
     out = tmp_path / "report.csv"
-    assert run(["entropy", state, "--polytope-bound", "--format", "csv",
-                "--out", str(out)]) == 0
+    assert run(["entropy", state, "--format", "csv", "--out", str(out)]) == 0
     rows = list(csv.reader(l for l in out.read_text().splitlines()
                            if not l.startswith("#")))
     assert rows[1:] == [[k, "" if v is None else str(v)]
@@ -193,12 +185,12 @@ def test_entropy_polytope_bound_rows_are_unchanged(tmp_path, capsys):
 
 
 REPORT_KEYS = ["manifest", "s_upper", "s_lower", "lower_bound_witness",
-               "s_lower_heuristic", "basis", "converged", "restarts_agreeing",
-               "seed", "witness_basis_path"]
-# the CSV rows, in order; polytope_chain_passed only with --polytope-bound
-CSV_FIELDS = ["s_upper", "s_lower", "lower_bound_witness", "s_lower_heuristic",
-              "witness_basis_path", "polytope_chain_passed", "converged",
-              "restarts_agreeing", "seed"]
+               "floor", "floor_witness", "s_lower_heuristic", "basis",
+               "converged", "restarts_agreeing", "seed", "witness_basis_path"]
+# the CSV rows, in order
+CSV_FIELDS = ["s_upper", "s_lower", "lower_bound_witness", "floor",
+              "floor_witness", "s_lower_heuristic", "witness_basis_path",
+              "converged", "restarts_agreeing", "seed"]
 
 
 def hexacode_file(tmp_path):
@@ -207,9 +199,10 @@ def hexacode_file(tmp_path):
     return str(state_file)
 
 
+# no option adds or removes a key
 @pytest.mark.parametrize("extra, keys", [
     ([], REPORT_KEYS),
-    (["--polytope-bound"], REPORT_KEYS + ["polytope_chain_passed"]),
+    (["--overlap-bound"], REPORT_KEYS),
 ])
 def test_entropy_report_key_order(tmp_path, capsys, extra, keys):
     state = hexacode_file(tmp_path)
@@ -221,21 +214,7 @@ def test_entropy_report_key_order(tmp_path, capsys, extra, keys):
     rows = list(csv.reader(l for l in out.read_text().splitlines()
                            if not l.startswith("#")))
     assert rows[0] == ["field", "value"]
-    assert [r[0] for r in rows[1:]] == [k for k in CSV_FIELDS if k in keys]
-
-
-def test_entropy_polytope_bound_rejects_unmixed_block_before_optimizing(
-        tmp_path, monkeypatch, capsys):
-    state_file = tmp_path / "ghz6.json"
-    save_state(ghz(6, 2), state_file)
-
-    def no_optimizer(*args, **kwargs):
-        raise AssertionError("the optimizer ran on rejected input")
-
-    monkeypatch.setattr(entopt, "minimize_entropy", no_optimizer)
-    assert run(["entropy", str(state_file), "--polytope-bound"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("input error: block (1, 2, 3) is not maximally mixed")
+    assert [r[0] for r in rows[1:]] == CSV_FIELDS
 
 
 def test_entropy_polytope_bound_keeps_subset_bound_when_chain_fails(
@@ -243,12 +222,37 @@ def test_entropy_polytope_bound_keeps_subset_bound_when_chain_fails(
     monkeypatch.setattr(kpolytope, "verify_inf6_chain",
                         lambda: {"links": {}, "inf6": None, "passed": False})
     assert run(["entropy", hexacode_file(tmp_path), "--restarts", "3",
-                "--polytope-bound", "--out", "-"]) == 0
+                "--out", "-"]) == 0
     rep = json.loads(capsys.readouterr().out)
     value, subset = entopt.best_subset_lower_bound(hexacode_state())
-    assert rep["s_lower"] == value
-    assert rep["lower_bound_witness"] == f"subset {subset}"
-    assert rep["polytope_chain_passed"] is False
+    assert rep["s_lower"] == rep["floor"] == value
+    assert rep["lower_bound_witness"] == rep["floor_witness"] == f"subset {subset}"
+
+
+def count_chain_runs(monkeypatch):
+    """Wrap kpolytope.verify_inf6_chain; the list gets one entry per run."""
+    runs = []
+    orig = kpolytope.verify_inf6_chain
+
+    def counting():
+        runs.append(1)
+        return orig()
+
+    monkeypatch.setattr(kpolytope, "verify_inf6_chain", counting)
+    return runs
+
+
+def test_the_chain_runs_once_per_hexacode_search(tmp_path, monkeypatch, capsys):
+    from entmin import verify
+
+    runs = count_chain_runs(monkeypatch)
+    assert run(["entropy", hexacode_file(tmp_path), "--out", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["floor"] == 4.0
+    assert len(runs) == 1
+    report = verify.hexacode_suite()
+    assert report["passed"] and len(runs) == 2
+    assert run(["verify", "hexacode"]) == 0
+    assert len(runs) == 3
 
 
 def test_entropy_polytope_bound_above_upper_bound_exits_1(
@@ -259,8 +263,9 @@ def test_entropy_polytope_bound_above_upper_bound_exits_1(
         return dataclasses.replace(orig(*args, **kwargs), s_upper=3.5)
 
     monkeypatch.setattr(entopt, "minimize_entropy", low_upper)
+    # the floor 4 the search returns is above the forged s_upper
     assert run(["entropy", hexacode_file(tmp_path), "--restarts", "3",
-                "--polytope-bound", "--out", "-"]) == 1
+                "--out", "-"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: lower bound 4.0 exceeds upper bound 3.5\n"

@@ -80,14 +80,21 @@ def test_optconfig_validation():
 
 def test_optresult_rejects_crossed_bounds():
     basis = identity_basis(2, 2)
-    with pytest.raises(EntminError):
+    with pytest.raises(EntminError, match="lower bound 1.0 exceeds upper bound 0.5"):
         OptResult(s_upper=0.5, basis=basis, s_lower=1.0,
-                  lower_bound_witness="subset (1,)", converged=True,
+                  lower_bound_witness="subset (1,)", floor=1.0,
+                  floor_witness="subset (1,)", converged=True,
+                  restarts_agreeing=1, seed=0)
+    # a certified floor above s_upper is as crossed as a subset bound
+    with pytest.raises(EntminError, match="lower bound 1.5 exceeds upper bound 1.25"):
+        OptResult(s_upper=1.25, basis=basis, s_lower=1.0,
+                  lower_bound_witness="subset (1,)", floor=1.5,
+                  floor_witness="a certificate", converged=True,
                   restarts_agreeing=1, seed=0)
     with pytest.raises(EntminError):
         OptResult(s_upper=5.0, basis=basis, s_lower=0.0,
-                  lower_bound_witness="none", converged=True,
-                  restarts_agreeing=1, seed=0)
+                  lower_bound_witness="none", floor=0.0, floor_witness="none",
+                  converged=True, restarts_agreeing=1, seed=0)
 
 
 def test_bipartite_exact_known_values(rng):
@@ -400,13 +407,18 @@ def test_polytope_floor_on_hexacode():
 
 
 def test_polytope_floor_rejects_other_shapes():
-    with pytest.raises(ValidationError, match="6-party qubit"):
-        polytope_floor(seeded_state(3, 2, 1))
+    # like antisymmetric_floor, it refuses with None and raises nothing
+    assert polytope_floor(seeded_state(3, 2, 1)) is None
 
 
-def test_polytope_floor_names_the_first_mixed_block_that_fails():
-    with pytest.raises(ValidationError, match=r"block \(1, 2, 3\) is not maximally mixed"):
-        polytope_floor(ghz(6, 2))
+def test_polytope_floor_is_none_for_an_unmixed_block(monkeypatch):
+    # GHZ(6,2) has the right shape, but its 3-qubit blocks are not I/8,
+    # so the chain is not run
+    def no_chain():
+        raise AssertionError("the inf6 chain ran")
+
+    monkeypatch.setattr(kpolytope, "verify_inf6_chain", no_chain)
+    assert polytope_floor(ghz(6, 2)) is None
 
 
 def test_polytope_floor_is_none_when_the_chain_fails(monkeypatch):
@@ -462,10 +474,12 @@ def test_result_dict_roundtrip(rng):
     res = minimize_entropy(psi, OptConfig(restarts=3, max_sweeps=40,
                                           tol=1e-10, seed=5))
     d = json.loads(result_to_json(res))
-    assert set(d) == {"s_upper", "s_lower", "lower_bound_witness", "basis",
-                      "converged", "restarts_agreeing", "seed",
-                      "s_lower_heuristic"}
+    assert list(d) == ["s_upper", "s_lower", "lower_bound_witness", "floor",
+                       "floor_witness", "s_lower_heuristic", "basis",
+                       "converged", "restarts_agreeing", "seed"]
     assert d["s_lower_heuristic"] is None
+    # two parties: the floor is the subset bound, with its witness
+    assert (d["floor"], d["floor_witness"]) == (d["s_lower"], d["lower_bound_witness"])
     rebuilt = ProductBasis(2, 3, tuple(
         np.array([[complex(re, im) for re, im in row] for row in u])
         for u in d["basis"]))
@@ -527,9 +541,12 @@ def test_search_closes_on_the_antisymmetric_floor(monkeypatch):
     assert len(sweeps) == 1 and sweeps[0].max() <= 2
     assert abs(res.s_upper - math.log2(24)) <= 1e-9
     assert res.converged
-    # s_lower stays the subset bound, with its witness
+    # s_lower stays the subset bound, with its witness; the floor it
+    # closed on is returned apart
     assert abs(res.s_lower - math.log2(6)) <= 1e-12
     assert res.lower_bound_witness == "subset (1, 2)"
+    assert res.floor == log2_factorial(4) - 1e-12
+    assert res.floor_witness == "antisymmetric state, entropy floor log2(4!)"
 
 
 def test_two_party_search_closes_at_the_schmidt_entropy(monkeypatch):
@@ -592,6 +609,9 @@ def test_search_closes_on_the_polytope_floor(monkeypatch):
     assert closed.converged and abs(closed.s_upper - 4.0) <= 1e-9
     assert open_run.s_upper >= 4.0 - 1e-9
     assert closed.s_lower == open_run.s_lower == 3.0
+    assert (closed.floor, closed.floor_witness) == (
+        4.0, "3-uniform outcome polytope, entropy floor 4")
+    assert (open_run.floor, open_run.floor_witness) == (3.0, "subset (1, 2, 3)")
 
 
 @pytest.mark.parametrize("cfg", [
@@ -615,6 +635,7 @@ def test_search_without_the_chain_has_no_polytope_floor(monkeypatch):
     res = minimize_entropy(hexacode_state(), OptConfig())
     assert res.s_upper == 4.000000000000002
     assert (res.s_lower, res.lower_bound_witness) == (3.0, "subset (1, 2, 3)")
+    assert (res.floor, res.floor_witness) == (3.0, "subset (1, 2, 3)")
     assert res.converged and res.restarts_agreeing == 18
 
 

@@ -255,12 +255,13 @@ def test_verify_inf6_chain():
 
 
 # json.dumps(verify_inf6_chain(), sort_keys=True) of the chain as first
-# written, one sample and one vertex at a time
+# written, one sample and one vertex at a time; link (b)'s worst gap is
+# the largest of its 25 gaps
 CHAIN_REPORT = (
     '{"inf6": 4.0, "links": {"a": {"entropy": 4.0, "name": "two-check distribution '
     'lies in P_6^3 with entropy 4", "passed": true}, "b": {"name": "bit-6 marginal '
     'stays 3-uniform and does not gain entropy", "passed": true, "samples": 25, '
-    '"worst_entropy_gap": 0.0}, "c": {"min_entropy": 4.0, "name": "face vertices of '
+    '"worst_entropy_gap": -0.8842555749509531}, "c": {"min_entropy": 4.0, "name": "face vertices of '
     'P_5^3: eleven points, entropy floor 4", "passed": true, "vertex_count": 11}}, '
     '"passed": true}'
 )
@@ -288,15 +289,16 @@ def sample_p63(rng):
 
 
 def loop_link_b(members):
-    """Link (b) over the members one at a time: (passed, worst gap)."""
-    worst = 0.0
+    """Link (b) over the members one at a time: (passed, worst gap), the
+    gap None when no sample was read."""
+    worst = None
     for p in members:
         member = BitDistribution(6, p)
         marg = marginal_distribution(member, (1, 2, 3, 4, 5))
         if not is_k_uniform(marg, 3, 1e-9):
             return False, worst
         gap = shannon_entropy(marg.p) - shannon_entropy(member.p)
-        worst = max(worst, gap)
+        worst = gap if worst is None else max(worst, gap)
         if gap > 1e-12:
             return False, worst
     return True, worst
@@ -307,7 +309,11 @@ def test_chain_members_equal_the_one_at_a_time_draws():
     rng = np.random.default_rng(kpolytope.CHAIN_SEED)
     loop = np.array([sample_p63(rng).p for _ in range(25)])
     assert np.array_equal(members.view(np.int64), loop.view(np.int64))
-    assert loop_link_b(members) == (True, 0.0)
+    assert loop_link_b(members) == (True, -0.8842555749509531)
+
+
+# the largest gap of samples 0..6, which link (b) reads before sample 7
+BROKEN_AT_7_GAP = -0.8909541634706049
 
 
 def test_a_failing_member_ends_link_b_as_the_loop_does(monkeypatch):
@@ -318,7 +324,12 @@ def test_a_failing_member_ends_link_b_as_the_loop_does(monkeypatch):
     broken[7] = np.eye(64)[5]
     monkeypatch.setattr(kpolytope, "_p63_members", lambda rng, count: broken)
     link = verify_inf6_chain()["links"]["b"]
-    assert (link["passed"], link["worst_entropy_gap"]) == loop_link_b(broken) == (False, 0.0)
+    assert ((link["passed"], link["worst_entropy_gap"]) == loop_link_b(broken)
+            == (False, BROKEN_AT_7_GAP))
+    # a failure at sample 0 comes before any gap is taken
+    broken[0] = np.eye(64)[5]
+    link = verify_inf6_chain()["links"]["b"]
+    assert (link["passed"], link["worst_entropy_gap"]) == loop_link_b(broken) == (False, None)
     # a member that gains entropy under the marginal cannot be drawn, so
     # raise the entropy of sample 3's marginal by 2 bits and sample 5's by
     # 3 bits instead: the link stops at sample 3, so the worst gap is its
@@ -334,7 +345,7 @@ def test_a_failing_member_ends_link_b_as_the_loop_does(monkeypatch):
     link = verify_inf6_chain()["links"]["b"]
     gaps = [entropy_bits(marg) - hilbert._entropy_bits(m) for marg, m in zip(margs[:4], real)]
     assert link["passed"] is False
-    assert link["worst_entropy_gap"] == max(0.0, *gaps) == gaps[3] > 1e-12
+    assert link["worst_entropy_gap"] == max(gaps) == gaps[3] > 1e-12
 
 
 def test_chain_face_vertices_equal_the_qpoint_distributions():
