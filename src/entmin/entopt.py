@@ -22,6 +22,8 @@ value, so it is reported in its own field and never raises a rigorous one.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import itertools
 import json
 import math
@@ -53,6 +55,9 @@ CLOSE_TOL = 1e-9
 # stacked amplitudes per batched Gram product and eigvalsh in the subset
 # scan; each subset's reshaped amplitude matrix holds d**n of them
 SUBSET_STACK_AMPLITUDES = 1 << 16
+# helper threads that run eigvalsh on the subset scan's built stacks, and
+# the most chunks the scan has with them at once
+SUBSET_EIG_HELPERS = 2
 _SIGNS = np.array([1.0, -1.0])[:, None, None]
 # rows of cand_h holding (h_a, h_b) for candidates +step, -step, vertex
 _CAND_ROWS = np.array(((0, 2), (1, 3), (4, 5)))
@@ -367,6 +372,61 @@ def subset_lower_bound(psi: PureState, x) -> float:
     return von_neumann_entropy(partial_trace(psi, x))
 
 
+def _eig_helpers():
+    """A pool of SUBSET_EIG_HELPERS threads for the subset scan.
+    concurrent.futures is imported here, so importing entmin pays nothing
+    for it."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(SUBSET_EIG_HELPERS, thread_name_prefix="entmin-eigvalsh")
+
+
+def _subset_spectra(t: np.ndarray, subsets, per_chunk: int):
+    """Yield (chunk, np.linalg.eigvalsh of its reduced states) for each
+    chunk of per_chunk subsets, in order: the subset scan's pipeline.
+
+    The calling thread builds every stack with _reduced_states (the
+    gather, the Gram product and the checks) and decomposes the first
+    chunk itself.  Once a second chunk is asked for, a pool of
+    SUBSET_EIG_HELPERS threads runs eigvalsh, and nothing else, on up to
+    that many built stacks while this thread builds the next; eigvalsh
+    releases the GIL.  Spectra and errors come out in chunk order: a
+    helper's exception is raised when its chunk's turn comes, and a stack
+    that fails its checks raises only after the chunks before it are
+    yielded.  Closing the generator drops the chunks decomposed ahead and
+    shuts the pool down.  A single-chunk scan starts no thread.
+    """
+    chunks = iter(lambda: list(itertools.islice(subsets, per_chunk)), [])
+    chunk = next(chunks, None)
+    if chunk is None:
+        return
+    yield chunk, np.linalg.eigvalsh(_reduced_states(t, chunk))
+    pool = None
+    ahead = collections.deque()
+
+    def oldest():
+        done, spectra = ahead.popleft()
+        return done, spectra.result()
+
+    try:
+        for chunk in chunks:
+            if pool is None:
+                pool = _eig_helpers()
+            try:
+                rho = _reduced_states(t, chunk)
+            except ValidationError:
+                while ahead:
+                    yield oldest()
+                raise
+            ahead.append((chunk, pool.submit(np.linalg.eigvalsh, rho)))
+            if len(ahead) == SUBSET_EIG_HELPERS:
+                yield oldest()
+        while ahead:
+            yield oldest()
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+
+
 def best_subset_lower_bound(psi: PureState):
     """Maximize the subset bound over subsets of size <= floor(n/2).
 
@@ -377,7 +437,12 @@ def best_subset_lower_bound(psi: PureState):
     the hexacode state) is scanned in real arithmetic.  Each size's
     subsets are stacked in chunks of at most SUBSET_STACK_AMPLITUDES
     amplitudes, each chunk one _reduced_states stack (with DensityMatrix's
-    checks) and one eigvalsh, clamped as in von_neumann_entropy.
+    checks) and one eigvalsh, clamped as in von_neumann_entropy.  The
+    chunks go through _subset_spectra's two-stage pipeline: the calling
+    thread builds and checks every stack, clamps every spectrum and takes
+    the entropies, and from a size's second chunk on, helper threads run
+    the eigvalsh calls while the next stack is built.  Chunks are taken in
+    scan order, so the result and any error are the serial scan's.
 
     Returns (value, witness subset).  The witness is the first maximizer
     in size-then-lexicographic order: a subset replaces the best so far
@@ -391,7 +456,8 @@ def best_subset_lower_bound(psi: PureState):
     steps of under 1e-12 each.
 
     A size s stops after the chunk in which the best so far reaches its
-    capacity s log2 d less 1e-12: in exact arithmetic no entropy of size s
+    capacity s log2 d less 1e-12; chunks the helpers decomposed past that
+    one are discarded unread.  In exact arithmetic no entropy of size s
     exceeds s log2 d, so no later subset of that size could beat the best
     by more than 1e-12.  AME states and many graph states reach their
     capacity at the top size, often in the first chunk.  In floating
@@ -425,11 +491,12 @@ def best_subset_lower_bound(psi: PureState):
             subsets = itertools.combinations(range(n), size)
         cap = size * log_d - 1e-12
         pairs = []
-        while best < cap and (chunk := list(itertools.islice(subsets, per_chunk))):
-            lam = _clamped_spectrum(np.linalg.eigvalsh(_reduced_states(t, chunk)))
-            fresh = list(zip(chunk, map(_entropy_bits, lam)))
-            take(fresh)
-            pairs += fresh
+        with contextlib.closing(_subset_spectra(t, subsets, per_chunk)) as spectra:
+            while best < cap and (item := next(spectra, None)):
+                chunk, lam = item
+                fresh = list(zip(chunk, map(_entropy_bits, _clamped_spectrum(lam))))
+                take(fresh)
+                pairs += fresh
         return pairs
 
     top = n // 2
@@ -453,6 +520,18 @@ def polytope_floor(psi: PureState) -> float | None:
     3-uniform, and the inf6 chain bounds those at 4.  Any other state, or
     a failing chain, gives None; the chain runs only for states that pass
     the block test.
+
+    Slack: the gate admits blocks up to 1e-9 off I/8, and the floor is not
+    rounded down for it.  At the hexacode state the blocks' real-linear
+    response to a change of psi (128 real directions, 20 x 64 complex
+    entries) has a 19-dimensional null space, the local unitaries and the
+    global phase, and its smallest nonzero singular value is 2.  So, to
+    first order, a state whose blocks pass the gate is within
+    sqrt(1280) * 1e-9 / 2, about 1.8e-8, of the hexacode orbit, and within
+    about 5e-10 when one entry sits at the gate and the rest are exact.
+    This bounds the distance, not the entropy, so it is no rigorous slack;
+    twelve states pushed off the orbit by 2e-10 and 4e-10 passed the gate,
+    and none had a product basis measured below 4.
     """
     if (psi.n, psi.d) != (6, 2):
         return None

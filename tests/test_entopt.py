@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -395,6 +396,153 @@ def test_sixteen_qubit_graph_state_reaches_eight_bits_in_a_few_subsets(monkeypat
     assert abs(val - 8.0) <= 1e-12
     assert len(witness) == 8
     assert calls == [1] * len(calls) and len(calls) <= 8
+
+
+def eigvalsh_threads(monkeypatch):
+    """Wrap np.linalg.eigvalsh; the list gets the thread of each call."""
+    threads = []
+    orig = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        threads.append(threading.current_thread())
+        return orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return threads
+
+
+def one_subset_per_chunk_states():
+    for n in range(6, 9):
+        yield seeded_state(n, 2, 7)
+    for g in graphs_and_rings():
+        yield PureState(g.v, 2, graph_state(g).amp * np.exp(1j * math.pi / 3))
+    yield seeded_state(4, 3, 7)
+
+
+def test_pipelined_scan_matches_oracle_bitwise_one_subset_per_chunk(monkeypatch):
+    # one subset per chunk: every chunk after a size's first goes through
+    # the helpers
+    for psi in one_subset_per_chunk_states():
+        want = subset_bound_oracle(psi)
+        monkeypatch.setattr(entopt, "SUBSET_STACK_AMPLITUDES", psi.dim)
+        assert best_subset_lower_bound(psi) == want, (psi.n, psi.d)
+
+
+def test_helpers_decompose_every_chunk_after_the_first(monkeypatch):
+    threads = eigvalsh_threads(monkeypatch)
+    monkeypatch.setattr(entopt, "SUBSET_STACK_AMPLITUDES", 1 << 8)
+    best_subset_lower_bound(seeded_state(8, 2, 7))
+    # only size 4 is scanned: the 35 subsets holding party 1
+    main = threading.main_thread()
+    assert len(threads) == 35
+    assert threads[0] is main and main not in threads[1:]
+
+
+def below_floor_on_call(monkeypatch, k):
+    """Patch np.linalg.eigvalsh so that its k-th call returns an
+    eigenvalue below EIG_FLOOR."""
+    orig = np.linalg.eigvalsh
+    count = itertools.count(1)
+
+    def patched(a, *args, **kwargs):
+        lam = orig(a, *args, **kwargs)
+        if next(count) == k:
+            lam[..., 0] = 2 * EIG_FLOOR
+        return lam
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", patched)
+
+
+def test_helper_spectrum_below_floor_raises_and_the_next_scan_works(monkeypatch):
+    psi = seeded_state(6, 2, 8)
+    want = subset_bound_oracle(psi)
+    monkeypatch.setattr(entopt, "SUBSET_STACK_AMPLITUDES", psi.dim)
+    below_floor_on_call(monkeypatch, 3)
+    with pytest.raises(ValidationError, match="below clamp floor"):
+        best_subset_lower_bound(psi)
+    assert best_subset_lower_bound(psi) == want
+
+
+def test_helper_exception_reaches_the_caller(monkeypatch):
+    psi = seeded_state(6, 2, 8)
+    monkeypatch.setattr(entopt, "SUBSET_STACK_AMPLITUDES", psi.dim)
+    orig = np.linalg.eigvalsh
+    count = itertools.count(1)
+
+    def failing(a, *args, **kwargs):
+        if next(count) == 4:
+            raise np.linalg.LinAlgError("no convergence")
+        return orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="no convergence"):
+        best_subset_lower_bound(psi)
+
+
+def fail_build_on_call(monkeypatch, k):
+    """Make entopt's k-th _reduced_states call fail its checks."""
+    orig = entopt._reduced_states
+    count = itertools.count(1)
+
+    def failing(t, subsets):
+        if next(count) == k:
+            raise ValidationError("stack failed its checks")
+        return orig(t, subsets)
+
+    monkeypatch.setattr(entopt, "_reduced_states", failing)
+
+
+def test_a_failing_stack_raises_after_the_chunks_before_it(monkeypatch):
+    # chunk 2's spectrum fails its clamp and chunk 3's stack its checks;
+    # the serial scan never builds chunk 3, so chunk 2's error comes out
+    psi = seeded_state(6, 2, 8)
+    monkeypatch.setattr(entopt, "SUBSET_STACK_AMPLITUDES", psi.dim)
+    below_floor_on_call(monkeypatch, 2)
+    fail_build_on_call(monkeypatch, 3)
+    with pytest.raises(ValidationError, match="below clamp floor"):
+        best_subset_lower_bound(psi)
+
+
+def test_lookahead_past_the_capacity_stop_is_discarded(monkeypatch):
+    # chunk 2 reaches size 3's capacity, so the stack built ahead of it
+    # (chunk 3, which fails its checks) is never taken
+    psi = seeded_state(6, 2, 8)
+    monkeypatch.setattr(entopt, "SUBSET_STACK_AMPLITUDES", psi.dim)
+    orig = np.linalg.eigvalsh
+    count = itertools.count(1)
+
+    def mixed_on_call_2(a, *args, **kwargs):
+        lam = orig(a, *args, **kwargs)
+        if next(count) == 2:
+            lam[...] = 1.0 / lam.shape[-1]
+        return lam
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", mixed_on_call_2)
+    fail_build_on_call(monkeypatch, 3)
+    val, witness = best_subset_lower_bound(psi)
+    assert witness == (1, 2, 4)
+    assert abs(val - 3.0) <= 1e-12
+
+
+@pytest.mark.parametrize("psi", [hexacode_state(), determinant_state(4),
+                                 seeded_state(2, 4, 9)],
+                         ids=["hexacode", "det4", "two_party"])
+def test_claim_searches_start_no_helper_thread(monkeypatch, psi):
+    built = []
+    orig = entopt._eig_helpers
+    monkeypatch.setattr(entopt, "_eig_helpers", lambda: built.append(1) or orig())
+    before = set(threading.enumerate())
+    minimize_entropy(psi, OptConfig())
+    assert built == []
+    assert set(threading.enumerate()) <= before
+
+
+def test_a_multi_chunk_scan_builds_the_pool_once_per_size(monkeypatch):
+    built = []
+    orig = entopt._eig_helpers
+    monkeypatch.setattr(entopt, "_eig_helpers", lambda: built.append(1) or orig())
+    best_subset_lower_bound(seeded_state(11, 2, 3))
+    assert built == [1]
 
 
 def fail_the_chain(monkeypatch):

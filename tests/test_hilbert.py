@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from entmin import hilbert
 from entmin.errors import ValidationError
 from entmin.hilbert import (
+    HERM_TOL,
     DensityMatrix,
     ProductBasis,
     PureState,
+    _check_density,
     _entropy_bits,
     _reduced_states,
     embed_local_dims,
@@ -130,6 +133,43 @@ def test_density_checks_reject_non_hermitian_and_bad_trace(rng):
     t = random_state(3, 2, rng).tensor()
     with pytest.raises(ValidationError, match="trace"):
         _reduced_states(1.001 * t, [(0,), (1,), (2,)])
+
+
+def whole_stack_is_hermitian(rho):
+    """The Hermitian test on the whole stack at once."""
+    return bool(np.max(np.abs(rho - np.swapaxes(rho.conj(), -1, -2))) <= HERM_TOL)
+
+
+@pytest.mark.parametrize("shape", [(40, 2, 2), (9, 64, 64), (3, 128, 128)])
+def test_sliced_hermitian_test_decides_as_the_whole_stack(rng, shape):
+    k, r, _ = shape
+    m = rng.standard_normal((k, r, 2 * r)) + 1j * rng.standard_normal((k, r, 2 * r))
+    rho = m @ m.conj().transpose(0, 2, 1)
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    for defect in (0.5e-12, 0.999e-12, 1.001e-12, 2e-12, 1e-12j, 3e-12j, np.nan):
+        for at in ((k - 1, r - 1, 0), (k // 2, 0, r - 1), (0, 1, 1)):
+            bad = rho.copy()
+            bad[at] += defect
+            try:
+                _check_density(bad)
+                rejected = False
+            except ValidationError as exc:
+                # a real defect on the diagonal fails the trace test
+                rejected = "not Hermitian" in str(exc)
+            assert rejected is not whole_stack_is_hermitian(bad), (defect, at)
+
+
+def test_partial_trace_checks_its_matrix_once(monkeypatch, rng):
+    calls = []
+    orig = hilbert._check_density
+
+    def counting(rho):
+        calls.append(rho.shape)
+        orig(rho)
+
+    monkeypatch.setattr(hilbert, "_check_density", counting)
+    partial_trace(random_state(4, 2, rng), (1, 3))
+    assert calls == [(4, 4)]
 
 
 def test_partial_trace_requires_proper_subset(rng):
