@@ -537,7 +537,7 @@ def test_claim_searches_start_no_helper_thread(monkeypatch, psi):
     assert set(threading.enumerate()) <= before
 
 
-def test_a_multi_chunk_scan_builds_the_pool_once_per_size(monkeypatch):
+def test_a_multi_chunk_scan_builds_one_pool(monkeypatch):
     built = []
     orig = entopt._eig_helpers
     monkeypatch.setattr(entopt, "_eig_helpers", lambda: built.append(1) or orig())
