@@ -179,13 +179,25 @@ def generalized_determinant_support(d: int, p: int, code: CodeMap | None = None)
 
 
 def _edge_signs(g: GraphSpec) -> np.ndarray:
-    """(-1)^(edge quadratic form) of every v-bit string, in flat order: the
-    one edge-form loop, shared with the graph-state reduced densities."""
-    x = np.arange(1 << g.v)
-    phase = np.zeros(1 << g.v, dtype=np.uint8)
-    for edge in g.edges():
-        both = mask_of_parties(edge, g.v)
-        phase ^= (x & both) == both
+    """(-1)^(edge quadratic form) of every v-bit string, in flat order,
+    shared with the graph-state reduced densities.
+
+    Vertex i sits at bit v - i (mask_of_parties).  Built by doubling: a
+    string x whose top set bit is b has the sign of y = x - 2**b, flipped
+    by the parity of y & N_b, where N_b masks that vertex's neighbours
+    among the lower bits.  That parity is itself a table over y < 2**b
+    built by doubling, so each vertex costs one pass over 2**b entries and
+    the whole table O(2**v), whatever the edge count.
+    """
+    v = g.v
+    phase = np.zeros(1 << v, dtype=np.uint8)
+    for b in range(v):
+        vertex = v - b
+        below = mask_of_parties([j for j in g.neighbors(vertex) if j > vertex], v)
+        half = phase[1 << b:2 << b]
+        for c in range(b):
+            half[1 << c:2 << c] = half[:1 << c] ^ ((below >> c) & 1)
+        half ^= phase[:1 << b]
     return np.where(phase, -1.0, 1.0)
 
 
