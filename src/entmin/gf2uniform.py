@@ -500,7 +500,8 @@ def graph_reduced_density(g: GraphSpec, w) -> DensityMatrix:
     drop_axes = [a for a in range(g.v) if a not in set(keep_axes)]
     block = g.adj[np.ix_(drop_axes, keep_axes)]
     synd = (bits @ block.T) % 2
-    # one int64 code per row, equal exactly where the syndromes are
+    # each row's index among the distinct syndromes: one int64 code per
+    # row, whatever the syndrome width, equal exactly where the rows are
     code = np.unique(synd, axis=0, return_inverse=True)[1].reshape(-1)
     same = code[:, None] == code[None, :]
     mat = (d[:, None] * d[None, :]) * same / size

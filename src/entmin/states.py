@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .hilbert import PureState
-from .indexing import check_capacity, flat_from_digits, mask_of_parties
+from .indexing import check_capacity, flat_from_digits
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,19 +184,19 @@ def _edge_signs(g: GraphSpec) -> np.ndarray:
 
     Vertex i sits at bit v - i (mask_of_parties).  Built by doubling: a
     string x whose top set bit is b has the sign of y = x - 2**b, flipped
-    by the parity of y & N_b, where N_b masks that vertex's neighbours
-    among the lower bits.  That parity is itself a table over y < 2**b
-    built by doubling, so each vertex costs one pass over 2**b entries and
-    the whole table O(2**v), whatever the edge count.
+    by the parity of y & N_b, where N_b masks the neighbours of the vertex
+    at bit b among the lower bits.  That parity is itself a table over
+    y < 2**b built by doubling, so the vertex at bit b costs two passes
+    over 2**b entries and the whole table O(2**v), whatever the edge count.
     """
     v = g.v
+    # reversing both axes puts the vertex at bit b in row and column b
+    by_bit = g.adj[::-1, ::-1]
     phase = np.zeros(1 << v, dtype=np.uint8)
     for b in range(v):
-        vertex = v - b
-        below = mask_of_parties([j for j in g.neighbors(vertex) if j > vertex], v)
         half = phase[1 << b:2 << b]
         for c in range(b):
-            half[1 << c:2 << c] = half[:1 << c] ^ ((below >> c) & 1)
+            half[1 << c:2 << c] = half[:1 << c] ^ by_bit[b, c]
         half ^= phase[:1 << b]
     return np.where(phase, -1.0, 1.0)
 
