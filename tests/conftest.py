@@ -59,6 +59,35 @@ def subset_bound_oracle(psi):
     return best, witness
 
 
+def edge_sign_oracle(g):
+    """The edge signs one edge at a time: three passes over all 2^v strings
+    per edge, the phase flipped where both ends are set."""
+    from entmin.indexing import mask_of_parties
+
+    x = np.arange(1 << g.v)
+    phase = np.zeros(1 << g.v, dtype=np.uint8)
+    for edge in g.edges():
+        both = mask_of_parties(edge, g.v)
+        phase ^= (x & both) == both
+    return np.where(phase, -1.0, 1.0)
+
+
+def graph_reduced_density_oracle(g, w):
+    """A graph state's reduced matrix on w with every (x, y) syndrome pair
+    compared bit by bit: a (2^k, 2^k, v - k) boolean broadcast."""
+    from entmin.states import GraphSpec
+
+    keep = [t - 1 for t in sorted(w)]
+    drop = [a for a in range(g.v) if a not in keep]
+    k = len(keep)
+    size = 1 << k
+    bits = ((np.arange(size)[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(np.uint8)
+    d = edge_sign_oracle(GraphSpec(k, g.adj[np.ix_(keep, keep)]))
+    synd = (bits @ g.adj[np.ix_(drop, keep)].T) % 2
+    same = np.all(synd[:, None, :] == synd[None, :, :], axis=2)
+    return ((d[:, None] * d[None, :]) * same / size).astype(np.complex128)
+
+
 def stabilizer_weight_oracle(adj):
     """Least support over all 2^v - 1 generator products: the product over
     a vertex set S has X on S and Z on the XOR of S's adjacency rows."""

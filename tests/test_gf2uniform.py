@@ -31,6 +31,7 @@ from conftest import (
     deficient_cut_oracle,
     fourier_oracle,
     gf2_rank_oracle,
+    graph_reduced_density_oracle,
     k_uniform_oracle,
     maximally_uniform_search_oracle,
     pauli_dense,
@@ -435,6 +436,25 @@ def test_graph_reduced_density_matches_partial_trace(rng):
         a = graph_reduced_density(g, w).mat
         b = partial_trace(psi, w).mat
         assert np.max(np.abs(a - b)) < 1e-12
+
+
+@pytest.mark.parametrize("v, k", [(2, 1), (6, 3), (9, 2), (12, 6), (16, 8), (18, 5), (70, 3)])
+def test_syndrome_codes_give_the_broadcast_matrix_bitwise(v, k):
+    # 70 vertices: each syndrome has 67 bits, more than one int64 holds
+    rng = np.random.default_rng([v, k])
+    for _ in range(3):
+        g = random_graph(v, rng)
+        w = tuple(sorted(rng.choice(np.arange(1, v + 1), size=k, replace=False).tolist()))
+        want = graph_reduced_density_oracle(g, w)
+        assert graph_reduced_density(g, w).mat.tobytes() == want.tobytes()
+
+
+def test_syndrome_codes_for_rows_that_differ_only_past_bit_63():
+    # kept vertices 1 and 3 each touch one dropped vertex, 64 places apart
+    # in the dropped order (vertex 6 at place 2, vertex 70 at place 66)
+    g = GraphSpec.from_edges(70, [(1, 70), (3, 6), (2, 5)])
+    want = graph_reduced_density_oracle(g, (1, 2, 3))
+    assert graph_reduced_density(g, (1, 2, 3)).mat.tobytes() == want.tobytes()
 
 
 def test_graph_reduced_density_requires_proper_subset():

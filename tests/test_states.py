@@ -7,6 +7,7 @@ from entmin.errors import CapacityError, ValidationError
 from entmin.states import (
     CodeMap,
     GraphSpec,
+    _edge_signs,
     determinant_state,
     generalized_determinant,
     generalized_determinant_support,
@@ -18,6 +19,8 @@ from entmin.states import (
     log2_factorial,
     save_graph,
 )
+
+from conftest import edge_sign_oracle
 
 
 def test_ghz_amplitudes():
@@ -112,6 +115,44 @@ def test_graph_state_sign_oracle():
         parity = sum(bits[i] * bits[j] for i in range(4) for j in range(i + 1, 4)
                      if g.adj[i, j])
         assert abs(psi.amp[x] - (-1) ** parity / 4.0) < 1e-15
+
+
+def seeded_graph(v, seed):
+    rng = np.random.default_rng([v, seed])
+    upper = np.triu(rng.integers(0, 2, size=(v, v)), 1)
+    return GraphSpec(v, (upper + upper.T).astype(np.uint8))
+
+
+def assert_signs_are_the_oracle(g):
+    want = edge_sign_oracle(g)
+    assert _edge_signs(g).tobytes() == want.tobytes()
+    amp = (want / math.sqrt(1 << g.v)).astype(np.complex128)
+    assert graph_state(g).amp.tobytes() == amp.tobytes()
+
+
+@pytest.mark.parametrize("v", range(1, 13))
+def test_doubled_edge_signs_are_the_per_edge_loop_bitwise(v):
+    for seed in range(3):
+        assert_signs_are_the_oracle(seeded_graph(v, seed))
+
+
+@pytest.mark.parametrize("v", [1, 2, 5, 12])
+def test_doubled_edge_signs_on_edgeless_complete_and_star_graphs(v):
+    edgeless = GraphSpec(v, np.zeros((v, v), dtype=np.uint8))
+    complete = GraphSpec(v, (1 - np.eye(v)).astype(np.uint8))
+    assert_signs_are_the_oracle(edgeless)
+    assert_signs_are_the_oracle(complete)
+    assert np.all(_edge_signs(edgeless) == 1.0)
+    if v > 1:
+        # centred on the top bit, whose neighbours all sit below it, and on
+        # the bottom bit, whose neighbours all sit above it
+        for centre in (1, v):
+            leaves = [j for j in range(1, v + 1) if j != centre]
+            assert_signs_are_the_oracle(GraphSpec.from_edges(v, [(centre, j) for j in leaves]))
+
+
+def test_doubled_edge_signs_at_20_vertices():
+    assert_signs_are_the_oracle(seeded_graph(20, 0))
 
 
 def test_graphspec_validation():
