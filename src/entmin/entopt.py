@@ -597,14 +597,8 @@ def max_product_overlap(psi: PureState, cfg: OptConfig = OptConfig(),
     n, d = psi.n, psi.d
 
     def argmax_seed():
-        j = int(np.argmax(np.abs(psi.amp)))
-        digits = np.unravel_index(j, t.shape)
-        vecs = []
-        for i in range(n):
-            e = np.zeros(d, dtype=np.complex128)
-            e[digits[i]] = 1.0
-            vecs.append(e)
-        return vecs
+        digits = np.unravel_index(int(np.argmax(np.abs(psi.amp))), t.shape)
+        return list(np.eye(d, dtype=np.complex128)[list(digits)])
 
     def run(vecs):
         vecs = [v.astype(np.complex128) / np.linalg.norm(v) for v in vecs]

@@ -48,7 +48,7 @@ class PureState:
             raise ValidationError(
                 f"amplitude vector has length {amp.size}, expected {self.d}**{self.n}"
             )
-        norm2 = float(np.sum(np.abs(amp) ** 2))
+        norm2 = float(np.vdot(amp, amp).real)
         # written so that a NaN fails: every comparison with NaN is False
         if not abs(norm2 - 1.0) <= NORM_TOL:
             raise ValidationError(f"state is not normalized: |amp|^2 = {norm2!r}")
@@ -175,27 +175,50 @@ def tensor_product(a: PureState, b: PureState) -> PureState:
     return PureState(a.n + b.n, a.d, np.kron(a.amp, b.amp))
 
 
+# largest Kronecker factor d**g that one matmul applies: qubits go three
+# at a time; 9 x 9 and 16 x 16 factors measured slower on the optimizer's
+# small d = 3, 4 batches, so there one party goes per step
+_GROUP_DIM = 8
+
+
 def _rotate_all(t: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """Amplitudes of t in k product bases at once: the one local-unitary kernel.
+    """Tensors of t in k product bases at once: the one local-unitary kernel.
 
     ``ws`` is (k, n, d, d); ws[:, i] acts on party i+1's axis, so passing
-    the adjoints u^dag of a basis gives its outcome amplitudes.  The result
-    is (k, d, ..., d), one rotated tensor per basis.  Each step contracts
-    the leading axis and moves it to the back, so the next party leads and
-    after n steps the axes are back in order.
+    the adjoints u^dag of a basis gives its outcome amplitudes.  ``t`` holds
+    m stacked tensors of d**n entries, with k and m equal or one of them 1;
+    the result is (max(k, m), d, ..., d).  Consecutive parties go in groups
+    of g, the most with d**g <= _GROUP_DIM (3 for qubits, 1 for d >= 3).
+    Each step contracts the leading group with its (k, d**g, d**g)
+    Kronecker factor in one batched matmul that writes the group's axes
+    back as the trailing ones, so after ceil(n / g) steps, each one pass
+    of O(d**(n+g)) per tensor, the axes are back in order.  Every tensor
+    of the result is bitwise what it gets alone.
     """
     k, n, d = ws.shape[:3]
-    cur = t.reshape(1, d, -1)
-    for axis in range(n):
-        cur = np.matmul(ws[:, axis], cur).transpose(0, 2, 1).reshape(k, d, -1)
-    return cur.reshape((k,) + (d,) * n)
+    g = 1
+    while d ** (g + 1) <= _GROUP_DIM:
+        g += 1
+    cur = t.reshape(-1, d**n)
+    for start in range(0, n, g):
+        f = ws[:, start]
+        for i in range(start + 1, min(start + g, n)):
+            f = (f[:, :, None, :, None] * ws[:, i, None, :, None, :]).reshape(
+                k, f.shape[1] * d, -1)
+        rows = f.shape[1]
+        # (rest, group) @ f^T: gemm reads the leading group transposed and
+        # writes it as the trailing axis, so no step copies a transpose
+        cur = np.matmul(cur.reshape(len(cur), rows, d**n // rows).transpose(0, 2, 1),
+                        f.transpose(0, 2, 1))
+    return cur.reshape((-1,) + (d,) * n)
 
 
 def outcome_distribution(psi: PureState, b: ProductBasis) -> np.ndarray:
     """Joint outcome probabilities of measuring every party in its basis.
 
     Entry at flat index (j_1, ..., j_n) is |<psi| B_1(j_1) x ... x B_n(j_n)>|^2.
-    Computed by n successive one-party basis rotations, O(n * d**(n+1)).
+    Computed by the local-unitary kernel: ceil(n / g) passes of
+    O(d**(n+g)), with g = 3 parties per pass for qubits and 1 for d >= 3.
     """
     if (psi.n, psi.d) != (b.n, b.d):
         raise ValidationError(

@@ -34,33 +34,18 @@ TABLE1_TARGETS = {1: 0.50, 2: 0.57, 3: 0.64, 4: 0.69, 5: 0.74, 10: 0.86}
 
 
 def _close(name: str, measured: float, target: float, tol: float) -> dict:
-    return {
-        "name": name,
-        "measured": float(measured),
-        "target": float(target),
-        "tol": float(tol),
-        "passed": bool(abs(measured - target) <= tol),
-    }
+    return {"name": name, "measured": float(measured), "target": float(target),
+            "tol": float(tol), "passed": bool(abs(measured - target) <= tol)}
 
 
 def _below(name: str, measured: float, limit: float) -> dict:
-    return {
-        "name": name,
-        "measured": float(measured),
-        "target": f"<= {limit}",
-        "tol": 0.0,
-        "passed": bool(measured <= limit),
-    }
+    return {"name": name, "measured": float(measured), "target": f"<= {limit}",
+            "tol": 0.0, "passed": bool(measured <= limit)}
 
 
 def _flag(name: str, passed: bool) -> dict:
-    return {
-        "name": name,
-        "measured": bool(passed),
-        "target": True,
-        "tol": 0.0,
-        "passed": bool(passed),
-    }
+    return {"name": name, "measured": bool(passed), "target": True, "tol": 0.0,
+            "passed": bool(passed)}
 
 
 def _wrap(suite: str, checks: list, t0: float, max_seconds: float | None = None) -> dict:
@@ -69,12 +54,8 @@ def _wrap(suite: str, checks: list, t0: float, max_seconds: float | None = None)
     seconds = time.perf_counter() - t0
     if max_seconds is not None:
         checks.append(_below("runtime seconds", seconds, max_seconds))
-    return {
-        "suite": suite,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-        "seconds": seconds,
-    }
+    return {"suite": suite, "checks": checks,
+            "passed": all(c["passed"] for c in checks), "seconds": seconds}
 
 
 def bipartite_suite() -> dict:
@@ -127,8 +108,8 @@ def _su_random(d: int, rng: np.random.Generator) -> np.ndarray:
 def det_suite() -> dict:
     """Antisymmetric states: entropy log2(n!), bracketed by the search's
     floor (the antisymmetric one for n >= 3; for n = 2 the subset bound 1
-    lies above it) and the search, which closes on it; overlap 1/n!,
-    singlet invariance."""
+    lies above it, so det(2)'s antisymmetric floor has its own check) and
+    the search, which closes on it; overlap 1/n!, singlet invariance."""
     t0 = time.perf_counter()
     checks = []
     for n in (2, 3, 4):
@@ -143,6 +124,10 @@ def det_suite() -> dict:
                              res.s_upper - target, 1e-3))
         checks.append(_close(f"n={n} antisymmetric floor vs log2({n}!)",
                              res.floor, target, 1e-9))
+        if n == 2:
+            # the check above reads the subset bound here, 1e-12 higher
+            checks.append(_close("n=2 antisymmetric_floor(det(2)) vs log2(2!)",
+                                 entopt.antisymmetric_floor(psi), target, 1e-9))
         checks.append(_below(f"n={n} bracket width s_upper - floor",
                              res.s_upper - res.floor, 1e-9))
         overlap = entopt.max_product_overlap(psi, OptConfig(restarts=6, max_sweeps=80,
@@ -328,12 +313,9 @@ SUITES = {
 def run_suite(name: str, **kwargs) -> dict:
     if name == "all":
         reports = [SUITES[key]() for key in SUITES]
-        return {
-            "suite": "all",
-            "suites": reports,
-            "passed": all(r["passed"] for r in reports),
-            "seconds": sum(r["seconds"] for r in reports),
-        }
+        return {"suite": "all", "suites": reports,
+                "passed": all(r["passed"] for r in reports),
+                "seconds": sum(r["seconds"] for r in reports)}
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     return SUITES[name](**kwargs)

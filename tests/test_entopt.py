@@ -781,7 +781,7 @@ def test_search_without_the_chain_has_no_polytope_floor(monkeypatch):
     # reaches, so the search runs to its own convergence test
     fail_the_chain(monkeypatch)
     res = minimize_entropy(hexacode_state(), OptConfig())
-    assert res.s_upper == 4.000000000000002
+    assert res.s_upper == 4.000000000000004
     assert (res.s_lower, res.lower_bound_witness) == (3.0, "subset (1, 2, 3)")
     assert (res.floor, res.floor_witness) == (3.0, "subset (1, 2, 3)")
     assert res.converged and res.restarts_agreeing == 18

@@ -97,6 +97,15 @@ def test_walsh_transform_matches_dense_hadamard(n, rng):
     assert np.max(np.abs(walsh_transform(w) / (1 << n) - v)) < 1e-12
 
 
+@pytest.mark.parametrize("n", range(0, 7))
+def test_walsh_transform_of_rows_and_stacks_matches_the_character_sum(n, rng):
+    row = rng.standard_normal(1 << n)
+    assert np.max(np.abs(walsh_transform(row) - fourier_oracle(row))) <= 1e-12
+    stack = rng.standard_normal((2, 3, 1 << n))
+    oracle = np.array([[fourier_oracle(r) for r in block] for block in stack])
+    assert np.max(np.abs(walsh_transform(stack) - oracle)) <= 1e-12
+
+
 def test_k_uniform_two_paths_agree(rng):
     for _ in range(20):
         n = int(rng.integers(2, 7))

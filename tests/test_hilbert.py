@@ -69,13 +69,27 @@ def test_tensor_product_matches_kron(rng):
     assert np.allclose(ab.amp, np.kron(a.amp, b.amp))
 
 
-@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3)])
+# qubits go three per step, so n = 1, 2, 4, 5, 7, 8 end on a short group;
+# d = 3 and 4 take one party per step
+@pytest.mark.parametrize("n,d", [(n, 2) for n in range(1, 9)]
+                         + [(2, 3), (4, 3), (2, 4), (3, 4)])
 def test_outcome_distribution_against_product_vector_oracle(n, d, rng):
     psi = random_state(n, d, rng)
     basis = ProductBasis(n, d, tuple(haar(d, rng) for _ in range(n)))
     p = outcome_distribution(psi, basis)
-    assert np.allclose(p, outcome_oracle(psi, basis), atol=1e-12)
+    assert np.max(np.abs(p - outcome_oracle(psi, basis))) <= 1e-14
     assert abs(p.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (4, 2), (6, 2), (7, 2), (3, 3), (2, 4)])
+def test_each_start_of_a_rotated_batch_is_bitwise_its_own_run(n, d, rng):
+    t = random_state(n, d, rng).tensor()
+    ws = np.array([[haar(d, rng) for _ in range(n)] for _ in range(5)])
+    batch = hilbert._rotate_all(t, ws)
+    assert batch.shape == (5,) + (d,) * n
+    for j in range(5):
+        alone = hilbert._rotate_all(t, ws[j:j + 1])
+        assert np.array_equal(batch[j:j + 1].view(np.int64), alone.view(np.int64))
 
 
 def test_outcome_distribution_dimension_mismatch(rng):
