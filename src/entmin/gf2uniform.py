@@ -86,10 +86,10 @@ def walsh_transform(values: np.ndarray) -> np.ndarray:
     """Raw Walsh transform along the last axis, on a fresh float array;
     self-inverse up to the factor 2^n.  The rows are a stack of n-bit
     tensors against one operator set, the unnormalized Hadamard matrix on
-    every bit, in the local-unitary kernel hilbert._rotate_all: n/3 passes,
-    each one matmul with the 8 x 8 factor of three bits, O(8 * 2^n) per
-    row.  A stack gives bitwise its rows' own transforms.  The last axis's
-    length must be a power of two.
+    every bit, in the local-unitary kernel hilbert._rotate_all: ceil(n/3)
+    passes, each one matmul with the 8 x 8 factor of three bits, so 8 * 2^n
+    multiply-adds per pass and row.  A stack gives bitwise its rows' own
+    transforms.  The last axis's length must be a power of two.
     """
     q = np.asarray(values, dtype=np.float64)
     n = q.shape[-1].bit_length() - 1

@@ -38,8 +38,11 @@ def haar(d, rng):
 
 
 def test_purestate_rejects_unnormalized():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"not normalized: \|amp\|\^2 = 2\.0$"):
         PureState(1, 2, np.array([1.0, 1.0]))
+    with pytest.raises(ValidationError, match="not normalized"):
+        PureState(1, 2, np.array([0.6, 0.8j]) * (1.0 + 2e-12))
+    PureState(1, 2, np.array([0.6, 0.8j]) * (1.0 + 2e-13))
 
 
 def test_purestate_rejects_wrong_length():
