@@ -5,6 +5,7 @@ Subcommands:
   entropy       bracket the minimal measurement entropy of a saved state
   verify        run a named verification suite and print one line per check
   table1        normalized entropies of the re-encoded determinant family
+  polytope      vertices of the 5-bit 3-uniform polytope, or the 6-bit chain
   graphs        search for maximally uniform graphs and emit the hits
 
 Every report embeds a run manifest (command, parameters, seed, version,
@@ -112,6 +113,8 @@ def _build_named_state(args):
 
 
 def cmd_state_build(args) -> int:
+    if args.out is None:
+        raise ValidationError("state build needs --out FILE for the state JSON")
     manifest = RunManifest("state build", {
         "kind": args.kind, "n": args.n, "d": args.d, "p": args.p,
         "graph": args.graph,
@@ -119,8 +122,6 @@ def cmd_state_build(args) -> int:
     if args.kind == "graph" and args.graph is not None:
         manifest.add_input(args.graph)
     psi = _build_named_state(args)
-    if args.out is None:
-        raise ValidationError("state build needs --out FILE for the state JSON")
     save_state(psi, args.out)
     summary = {
         "state": {"kind": args.kind, "n": psi.n, "d": psi.d,
@@ -176,11 +177,11 @@ def _print_suite_lines(report: dict) -> None:
 
 
 def cmd_verify(args) -> int:
+    if args.m is not None and args.suite != "graphs":
+        raise ValidationError("--m applies to the graphs suite only")
     manifest = RunManifest("verify", {"suite": args.suite, "m": args.m},
                            seed=None)
-    kwargs = {}
-    if args.suite == "graphs" and args.m is not None:
-        kwargs["m"] = args.m
+    kwargs = {} if args.m is None else {"m": args.m}
     report = verify.run_suite(args.suite, **kwargs)
     _print_suite_lines(report)
     if args.out:
@@ -232,12 +233,9 @@ def cmd_polytope(args) -> int:
 
 
 def cmd_graphs(args) -> int:
-    manifest = RunManifest("graphs", {
-        "m": args.m, "mode": args.mode, "budget": args.budget,
-        "out_dir": args.out_dir,
-    }, seed=args.seed)
-    hits = gf2uniform.search_maximally_uniform(
-        args.m, mode=args.mode, budget=args.budget, seed=args.seed)
+    manifest = RunManifest("graphs", {"m": args.m, "out_dir": args.out_dir},
+                           seed=None)
+    hits = gf2uniform.search_maximally_uniform(args.m)
     rows = []
     for i, g in enumerate(hits):
         if args.out_dir:
@@ -315,10 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     gp = sub.add_parser("graphs", help="search maximally uniform graphs")
     gp.add_argument("--m", type=int, required=True, help="half the vertex count")
-    gp.add_argument("--mode", choices=("exhaustive", "random"),
-                    default="exhaustive")
-    gp.add_argument("--budget", type=int, default=100_000)
-    gp.add_argument("--seed", type=int, default=0)
     gp.add_argument("--out-dir", default=None,
                     help="write each hit as an edge-list file here")
     add_io(gp)

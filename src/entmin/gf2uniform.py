@@ -228,7 +228,7 @@ def _neighbour_masks(adj: np.ndarray) -> np.ndarray:
 def _edge_rows(v: int) -> np.ndarray:
     """(C(v, 2), v) neighbour masks of each single-edge graph, edges in
     itertools.combinations(range(v), 2) order; a graph's masks are the
-    XOR, or equally the sum, of its edges' rows."""
+    XOR of its edges' rows."""
     bits = _vertex_bits(v)
     i, j = np.triu_indices(v, 1)  # row-major, the combinations order
     rows = np.zeros((len(i), v), dtype=np.int64)
@@ -318,50 +318,31 @@ def is_maximally_uniform_graph(g: GraphSpec) -> bool:
     return bool(_all_cuts_full_rank(_neighbour_masks(g.adj)[None], _balanced_cuts(g.v))[0])
 
 
-def search_maximally_uniform(m: int, mode: str = "exhaustive", budget: int = 100_000,
-                             seed: int = 0) -> list:
-    """Find maximally uniform graphs on 2m vertices.
+def search_maximally_uniform(m: int) -> list:
+    """Find every maximally uniform graph on 2m vertices.
 
-    Exhaustive mode tests all 2^C(2m,2) edge sets in ascending edge-mask
-    order, bit k the k-th vertex pair: the neighbour masks of a chunk are
-    one row of an XOR table over the high edges XORed onto the table over
-    the low ones.  The 2m <= 8 cap keeps that countable (2m = 8, 2^28
-    graphs, takes about 20 s).  Random mode samples `budget` graphs with
-    edge probability 1/2, one draw per graph, and deduplicates.  Hits come
-    back as GraphSpec objects in candidate order.
+    Tests all 2^C(2m,2) edge sets in ascending edge-mask order, bit k the
+    k-th vertex pair: the neighbour masks of a chunk are one row of an XOR
+    table over the high edges XORed onto the table over the low ones.  The
+    2m <= 8 cap keeps that countable (2m = 8, 2^28 graphs, takes about
+    20 s); beyond it no qubit state has every m-qubit block maximally
+    mixed anyway (see verify.graphs_suite).  Hits come back as GraphSpec
+    objects in candidate order.
     """
     if m < 1:
         raise ValidationError(f"need m >= 1, got {m}")
     v = 2 * m
     n_pairs = v * (v - 1) // 2
-
+    if v > 8:
+        raise CapacityError(f"exhaustive search over 2^{n_pairs} graphs is out of reach")
+    edge_rows = _edge_rows(v)
+    lo = min(n_pairs, _GRAPH_CHUNK.bit_length() - 1)
+    low = _xor_table(edge_rows[:lo])
+    cuts = list(_balanced_cuts(v))
     hits = []
-    if mode == "exhaustive":
-        if v > 8:
-            raise CapacityError(f"exhaustive search over 2^{n_pairs} graphs is out of reach")
-        edge_rows = _edge_rows(v)
-        lo = min(n_pairs, _GRAPH_CHUNK.bit_length() - 1)
-        low = _xor_table(edge_rows[:lo])
-        cuts = list(_balanced_cuts(v))
-        for high in _xor_table(edge_rows[lo:]):
-            nbr = low ^ high
-            hits += _graph_specs(nbr[_all_cuts_full_rank(nbr, cuts)])
-    elif mode == "random":
-        edge_rows = _edge_rows(v)  # fails on the cap before drawing
-        rng = np.random.default_rng(seed)
-        seen = set()
-        for start in range(0, budget, _GRAPH_CHUNK):
-            fresh = []
-            for _ in range(min(_GRAPH_CHUNK, budget - start)):
-                upper = rng.integers(0, 2, size=n_pairs, dtype=np.uint8)
-                key = upper.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(upper)
-            nbr = np.array(fresh, dtype=np.uint8).reshape(-1, n_pairs) @ edge_rows
-            hits += _graph_specs(nbr[_all_cuts_full_rank(nbr, _balanced_cuts(v))])
-    else:
-        raise ValidationError(f"unknown mode {mode!r}")
+    for high in _xor_table(edge_rows[lo:]):
+        nbr = low ^ high
+        hits += _graph_specs(nbr[_all_cuts_full_rank(nbr, cuts)])
     return hits
 
 

@@ -64,35 +64,6 @@ class GraphSpec:
         return len(self.neighbors(vertex))
 
 
-@dataclass(frozen=True, eq=False)
-class CodeMap:
-    """Bijection from the integers [1, d**p] to length-p digit strings base d."""
-
-    p: int
-    d: int
-    table: tuple
-
-    def __post_init__(self):
-        if len(self.table) != self.d**self.p:
-            raise ValidationError(f"table has {len(self.table)} entries, expected {self.d}**{self.p}")
-        if len(set(self.table)) != len(self.table):
-            raise ValidationError("table is not a bijection")
-        for word in self.table:
-            if len(word) != self.p or any(not 0 <= x < self.d for x in word):
-                raise ValidationError(f"bad code word {word!r}")
-
-    @classmethod
-    def lexicographic(cls, d: int, p: int) -> "CodeMap":
-        """k -> digits of k-1 in base d, p digits, most significant first."""
-        return cls(p, d, tuple(itertools.product(range(d), repeat=p)))
-
-    def word(self, k: int) -> tuple:
-        """Digit string for an integer k in [1, d**p]."""
-        if not 1 <= k <= self.d**self.p:
-            raise ValidationError(f"index {k} out of range [1, {self.d}**{self.p}]")
-        return self.table[k - 1]
-
-
 def ghz(n: int, d: int) -> PureState:
     """Uniform superposition of the d all-equal product strings, n parties."""
     if n < 2 or d < 2:
@@ -118,11 +89,15 @@ def determinant_state(n: int) -> PureState:
 
     Amplitude on the multi-index (i_1, ..., i_n) is sign of the permutation
     over sqrt(n!) when the indices are a permutation of all n levels, zero
-    otherwise.  This is generalized_determinant(n, 1).
+    otherwise.
     """
     if n < 2 or n > 7:
         raise CapacityError(f"supported range is 2 <= n <= 7, got {n}")
-    return generalized_determinant(n, 1)
+    amp = np.zeros(n**n, dtype=np.complex128)
+    norm = 1.0 / math.sqrt(math.factorial(n))
+    for perm in itertools.permutations(range(n)):
+        amp[flat_from_digits(perm, n)] = _permutation_sign(perm) * norm
+    return PureState(n, n, amp)
 
 
 def log2_factorial(m: int) -> float:
@@ -130,38 +105,23 @@ def log2_factorial(m: int) -> float:
     return float(sum(math.log2(k) for k in range(2, m + 1)))
 
 
-def _level_digits(d: int, p: int, code: CodeMap | None) -> list:
-    """Each level's p-digit code word as one base-d**p digit of a flat index."""
-    if code is None:
-        code = CodeMap.lexicographic(d, p)
-    elif (code.d, code.p) != (d, p):
-        raise ValidationError("code map dimensions do not match (d, p)")
-    return [flat_from_digits(code.word(k), d) for k in range(1, d**p + 1)]
-
-
-def generalized_determinant(d: int, p: int, code: CodeMap | None = None) -> PureState:
+def generalized_determinant(d: int, p: int) -> PureState:
     """Antisymmetric state of d**p levels re-encoded into p * d**p parties of dim d.
 
-    Each level index is spelled out as its p-digit code word, so the state
-    has (d**p)! equal-magnitude nonzero amplitudes.  The full amplitude
-    vector only exists within capacity (d = 2 needs p <= 2); beyond that use
-    :func:`generalized_determinant_support`.
+    Level k is spelled out as the p base-d digits of k, most significant
+    first, so the amplitude vector is that of determinant_state(d**p) read
+    as p * d**p parties of dimension d: (d**p)! equal-magnitude nonzero
+    amplitudes.  It only exists within capacity (d = 2 needs p <= 2);
+    beyond that use :func:`generalized_determinant_support`.
     """
     if d < 2 or p < 1:
         raise ValidationError(f"need d >= 2 and p >= 1, got ({d}, {p})")
     n = p * d**p
     check_capacity(n, d)
-    digits = _level_digits(d, p, code)
-    amp = np.zeros(d**n, dtype=np.complex128)
-    # a permutation of the levels has the sign of its digit sequence times
-    # the sign of the code's own digit order
-    norm = _permutation_sign(digits) / math.sqrt(math.factorial(d**p))
-    for spelled in itertools.permutations(digits):
-        amp[flat_from_digits(spelled, d**p)] = _permutation_sign(spelled) * norm
-    return PureState(n, d, amp)
+    return PureState(n, d, determinant_state(d**p).amp)
 
 
-def generalized_determinant_support(d: int, p: int, code: CodeMap | None = None):
+def generalized_determinant_support(d: int, p: int):
     """Support of the standard-basis outcome distribution, without the state.
 
     Returns (flat_indices, probability): the (d**p)! outcome strings, each
@@ -173,8 +133,7 @@ def generalized_determinant_support(d: int, p: int, code: CodeMap | None = None)
     levels = d**p
     if math.factorial(levels) > 1_000_000:
         raise CapacityError(f"({d}**{p})! outcomes is beyond enumeration capacity")
-    idx = [flat_from_digits(spelled, levels)
-           for spelled in itertools.permutations(_level_digits(d, p, code))]
+    idx = [flat_from_digits(perm, levels) for perm in itertools.permutations(range(levels))]
     return np.array(sorted(idx), dtype=np.int64), 1.0 / math.factorial(levels)
 
 

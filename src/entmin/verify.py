@@ -229,7 +229,7 @@ def graphs_suite(m: int | None = None) -> dict:
     checks = []
     wanted = (1, 2, 3) if m is None else (m,)
     for mm in wanted:
-        hits = gf2uniform.search_maximally_uniform(mm, mode="exhaustive")
+        hits = gf2uniform.search_maximally_uniform(mm)
         if mm == 1:
             ok = len(hits) == 1 and hits[0].edges() == ((1, 2),)
             checks.append(_flag("m=1: exactly the single-edge graph", ok))

@@ -7,6 +7,13 @@ import numpy as np
 import pytest
 
 
+class NoNumpy:
+    """Stands in for the numpy module: any use fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used before the capacity check")
+
+
 def product_column(mats, digits):
     """Kron chain of one basis column per party, party 1 most significant."""
     col = np.array([1.0 + 0.0j])
@@ -130,12 +137,10 @@ def deficient_cut_oracle(adj):
     return None
 
 
-def maximally_uniform_search_oracle(m, mode="exhaustive", budget=0, seed=0):
+def maximally_uniform_search_oracle(m):
     """The graph search one graph at a time: every edge mask in ascending
-    order, or `budget` seeded draws of the C(2m, 2) edge bits (one
-    rng.integers call each) with repeated adjacencies dropped; a graph is
-    a hit when no balanced cut block is singular.  Returns the hits'
-    adjacency matrices in candidate order."""
+    order; a graph is a hit when no balanced cut block is singular.
+    Returns the hits' adjacency matrices in candidate order."""
     v = 2 * m
     pairs = list(itertools.combinations(range(v), 2))
 
@@ -145,19 +150,8 @@ def maximally_uniform_search_oracle(m, mode="exhaustive", budget=0, seed=0):
             adj[i, j] = adj[j, i] = bit
         return adj
 
-    if mode == "exhaustive":
-        candidates = (adjacency([(mask >> b) & 1 for b in range(len(pairs))])
-                      for mask in range(1 << len(pairs)))
-    else:
-        rng = np.random.default_rng(seed)
-        draws = [adjacency(rng.integers(0, 2, size=len(pairs), dtype=np.uint8))
-                 for _ in range(budget)]
-        seen = set()
-        candidates = []
-        for adj in draws:
-            if adj.tobytes() not in seen:
-                seen.add(adj.tobytes())
-                candidates.append(adj)
+    candidates = (adjacency([(mask >> b) & 1 for b in range(len(pairs))])
+                  for mask in range(1 << len(pairs)))
     return [adj for adj in candidates if deficient_cut_oracle(adj) is None]
 
 

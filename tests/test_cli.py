@@ -44,6 +44,24 @@ def test_state_build_graph_kind(tmp_path, capsys):
     assert str(edges) in summary["manifest"]["input_hashes"]
 
 
+@pytest.mark.parametrize("kind", ["ghz", "det", "gdet", "graph", "hexacode"])
+def test_state_build_checks_out_before_building(monkeypatch, tmp_path, capsys, kind):
+    from entmin import states
+
+    def fail(*args, **kwargs):
+        raise AssertionError("state built before --out was checked")
+
+    for name in ("ghz", "determinant_state", "generalized_determinant",
+                 "graph_state", "load_graph", "hexacode_state"):
+        monkeypatch.setattr(states, name, fail)
+    edges = tmp_path / "tri.edges"
+    edges.write_text("1 2\n2 3\n1 3\n")
+    assert run(["state", "build", kind, "--graph", str(edges)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs --out" in captured.err
+
+
 def test_entropy_report_and_hash(tmp_path, capsys):
     state_file = tmp_path / "bell.json"
     save_state(determinant_state(2), state_file)
@@ -292,6 +310,22 @@ def test_verify_graphs_single_m(capsys):
     assert "m=2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("suite", ["det", "all"])
+def test_verify_takes_m_for_graphs_only(monkeypatch, tmp_path, capsys, suite):
+    from entmin import verify
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a suite ran before --m was checked")
+
+    monkeypatch.setattr(verify, "run_suite", fail)
+    out = tmp_path / "report.json"
+    assert run(["verify", suite, "--m", "4", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--m applies to the graphs suite only" in captured.err
+    assert not out.exists()
+
+
 def test_verify_graphs_m4_branch_and_cap(monkeypatch, capsys):
     # the real m = 4 search walks 2^28 graphs, so it is stubbed here
     from entmin import gf2uniform, verify
@@ -299,15 +333,15 @@ def test_verify_graphs_m4_branch_and_cap(monkeypatch, capsys):
 
     calls = []
 
-    def search(m, mode="exhaustive", **kwargs):
-        calls.append((m, mode))
+    def search(m):
+        calls.append(m)
         return found
 
     found = []
     monkeypatch.setattr(gf2uniform, "search_maximally_uniform", search)
     assert run(["verify", "graphs", "--m", "4"]) == 0
     assert "m=4: no hits" in capsys.readouterr().out
-    assert calls == [(4, "exhaustive")]
+    assert calls == [4]
     found = [hexacode_graph()]  # any hit contradicts the m = 4 result
     report = verify.graphs_suite(4)
     assert not report["passed"]
@@ -379,29 +413,20 @@ def test_graphs_search_emission(tmp_path, capsys):
     assert (out_dir / "hit_0000.edges").read_text().strip() == "1 2"
 
 
-def test_graphs_random_seed_defaults_to_zero(tmp_path, capsys):
-    from entmin.gf2uniform import search_maximally_uniform
+def test_graphs_manifest_records_no_seed(capsys):
+    # the search is exhaustive, so nothing in it is drawn
+    assert run(["graphs", "--m", "2", "--format", "json", "--out", "-"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["manifest"]["seed"] is None
+    assert rep["manifest"]["parameters"] == {"m": 2, "out_dir": None}
+    assert rep["hits"] == 0
 
-    assert run(["graphs", "--m", "2", "--mode", "random", "--budget", "10",
-                "--format", "json", "--out", "-"]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["manifest"]["seed"] == 0
-    assert rep["hits"] == len(search_maximally_uniform(2, "random", 10, seed=0))
-    # at m = 3 the hits depend on the seed, so the written graphs show
-    # which seed the draws used
-    out_dir = tmp_path / "hits"
-    out_dir.mkdir()
-    assert run(["graphs", "--m", "3", "--mode", "random", "--budget", "2000",
-                "--out-dir", str(out_dir), "--format", "json", "--out", "-"]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["manifest"]["seed"] == 0
-    want = search_maximally_uniform(3, "random", 2000, seed=0)
-    other = search_maximally_uniform(3, "random", 2000, seed=1)
-    assert want and [g.edges() for g in want] != [g.edges() for g in other]
-    written = [tuple(tuple(int(x) for x in line.split())
-                     for line in (out_dir / f"hit_{i:04d}.edges").read_text().splitlines())
-               for i in range(rep["hits"])]
-    assert written == [g.edges() for g in want]
+
+def test_graphs_takes_no_mode_option():
+    # there is no sampling: the exhaustive scan covers every graph within its cap
+    with pytest.raises(SystemExit) as exc:
+        run(["graphs", "--m", "3", "--mode", "random"])
+    assert exc.value.code == 2
 
 
 def test_exit_code_input_error():

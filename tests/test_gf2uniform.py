@@ -28,6 +28,7 @@ from entmin.hilbert import partial_trace
 from entmin.states import GraphSpec, graph_state, hexacode_graph
 
 from conftest import (
+    NoNumpy,
     deficient_cut_oracle,
     fourier_oracle,
     gf2_rank_oracle,
@@ -37,13 +38,6 @@ from conftest import (
     pauli_dense,
     stabilizer_weight_oracle,
 )
-
-
-class NoNumpy:
-    """Stands in for the numpy module: any use fails the test."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"np.{name} used before the capacity check")
 
 
 def random_dist(n, rng):
@@ -231,25 +225,14 @@ def test_search_m3_exhaustive_hits():
     assert any(np.array_equal(g.adj, prism.adj) for g in hits)
 
 
-def test_search_random_mode_is_seeded():
-    a = search_maximally_uniform(3, mode="random", budget=3000, seed=5)
-    b = search_maximally_uniform(3, mode="random", budget=3000, seed=5)
-    assert len(a) == len(b)
-    assert all(np.array_equal(x.adj, y.adj) for x, y in zip(a, b))
-
-
 def test_search_capacity_cap():
     with pytest.raises(CapacityError):
         search_maximally_uniform(5)
-    with pytest.raises(ValidationError):
-        search_maximally_uniform(3, mode="sideways")
     # graphs are held as int64 neighbour masks, one bit per vertex, so 126
     # vertices is too many
     matching = GraphSpec.from_edges(126, [(2 * i + 1, 2 * i + 2) for i in range(63)])
     with pytest.raises(CapacityError):
         is_maximally_uniform_graph(matching)
-    with pytest.raises(CapacityError):
-        search_maximally_uniform(63, mode="random", budget=1)
 
 
 def test_balanced_cut_cap_fires_before_allocating(monkeypatch):
@@ -257,8 +240,6 @@ def test_balanced_cut_cap_fires_before_allocating(monkeypatch):
     monkeypatch.setattr(gf2uniform, "np", NoNumpy())
     with pytest.raises(CapacityError):
         is_maximally_uniform_graph(matching)
-    with pytest.raises(CapacityError):
-        search_maximally_uniform(63, mode="random", budget=1)
 
 
 def test_balanced_cut_cap_boundary(monkeypatch):
@@ -271,8 +252,6 @@ def test_balanced_cut_cap_boundary(monkeypatch):
     monkeypatch.setattr(gf2uniform, "np", NoNumpy())
     with pytest.raises(CapacityError):
         is_maximally_uniform_graph(wide)
-    with pytest.raises(CapacityError):
-        search_maximally_uniform(32, mode="random", budget=1)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -282,16 +261,6 @@ def test_search_exhaustive_matches_reference(m):
     assert len(hits) == len(ref)
     for g, adj in zip(hits, ref):
         assert g.adj.dtype == adj.dtype and np.array_equal(g.adj, adj)
-
-
-@pytest.mark.parametrize("m, budget, seed", [(3, 3000, 5), (3, 2000, 11), (1, 50, 3),
-                                             (4, 300, 2)])
-def test_search_random_matches_reference(m, budget, seed):
-    hits = search_maximally_uniform(m, mode="random", budget=budget, seed=seed)
-    ref = maximally_uniform_search_oracle(m, "random", budget, seed)
-    assert len(hits) == len(ref)
-    for g, adj in zip(hits, ref):
-        assert np.array_equal(g.adj, adj)
 
 
 def pack_rows(blocks):

@@ -1,13 +1,19 @@
 """README's library quick start runs as written and prints what it says.
 
 Each `print(...)  # text` line of the quick start must print `text`, or
-the start of `text` up to a space and a parenthesized note.
+the start of `text` up to a space and a parenthesized note.  Each command
+of the "Command line" block must parse, and every name the package
+exports must exist.
 """
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+import entmin
+from entmin.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,3 +36,21 @@ def test_quick_start_prints_its_comments():
     assert len(printed) == len(expected)
     for got, comment in zip(printed, expected):
         assert comment == got or comment.startswith(got + " ("), (got, comment)
+
+
+def command_lines() -> list:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line\n", 1)[1]
+    block = re.search(r"^```\n(.*?)^```", section, flags=re.M | re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("entmin ")]
+
+
+def test_command_line_examples_parse():
+    lines = command_lines()
+    assert lines
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])  # exits 2 on drift
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in entmin.__all__ if not hasattr(entmin, name)] == []

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from entmin.errors import CapacityError, ValidationError
 from entmin.states import (
-    CodeMap,
     GraphSpec,
     _edge_signs,
     determinant_state,
@@ -20,7 +20,9 @@ from entmin.states import (
     save_graph,
 )
 
-from conftest import edge_sign_oracle
+from entmin import states
+
+from conftest import NoNumpy, edge_sign_oracle
 
 
 def test_ghz_amplitudes():
@@ -69,18 +71,26 @@ def test_determinant_state_capacity():
         determinant_state(8)
 
 
-def test_codemap_lexicographic():
-    cm = CodeMap.lexicographic(2, 3)
-    assert cm.word(1) == (0, 0, 0)
-    assert cm.word(2) == (0, 0, 1)
-    assert cm.word(8) == (1, 1, 1)
-    with pytest.raises(ValidationError):
-        CodeMap(2, 2, ((0, 0), (0, 0), (1, 0), (1, 1)))
-
-
 def test_generalized_determinant_p1_is_determinant():
     assert np.allclose(generalized_determinant(3, 1).amp,
                        determinant_state(3).amp)
+
+
+def level_permutation_indices(d, p):
+    """Sorted flat indices of every permutation of the d**p levels, each
+    level one base-d**p digit."""
+    levels = d**p
+    return sorted(sum(level * levels**(levels - 1 - i) for i, level in enumerate(perm))
+                  for perm in itertools.permutations(range(levels)))
+
+
+@pytest.mark.parametrize("d, p", [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2)])
+def test_generalized_determinant_is_det_of_d_to_the_p(d, p):
+    # level k spelled as its p base-d digits leaves the flat index of
+    # det(d**p) unchanged: the same bytes, read as p * d**p parties of dim d
+    psi = generalized_determinant(d, p)
+    assert (psi.n, psi.d) == (p * d**p, d)
+    assert psi.amp.tobytes() == determinant_state(d**p).amp.tobytes()
 
 
 def test_generalized_determinant_22():
@@ -91,14 +101,22 @@ def test_generalized_determinant_22():
     assert np.allclose(np.abs(psi.amp[nz]), 1 / math.sqrt(24))
     support, weight = generalized_determinant_support(2, 2)
     assert np.array_equal(np.sort(nz), support)
+    assert support.dtype == np.int64 and support.tolist() == level_permutation_indices(2, 2)
     assert abs(weight - 1 / 24) < 1e-18
 
 
 def test_generalized_determinant_support_scales_past_materialization():
+    # 24 qubits, above the 2**22 cap
     support, weight = generalized_determinant_support(2, 3)
-    assert support.size == math.factorial(8)
+    assert support.dtype == np.int64 and support.tolist() == level_permutation_indices(2, 3)
     assert abs(weight * math.factorial(8) - 1.0) < 1e-12
-    assert support.size == np.unique(support).size
+
+
+@pytest.mark.parametrize("d, p", [(2, 3), (3, 2)])
+def test_generalized_determinant_cap_fires_before_allocating(monkeypatch, d, p):
+    monkeypatch.setattr(states, "np", NoNumpy())
+    with pytest.raises(CapacityError):
+        generalized_determinant(d, p)
 
 
 def test_graph_state_single_edge():
