@@ -72,8 +72,10 @@ def test_determinant_state_capacity():
 
 
 def test_generalized_determinant_p1_is_determinant():
-    assert np.allclose(generalized_determinant(3, 1).amp,
-                       determinant_state(3).amp)
+    for d in (2, 3, 4, 5):
+        psi = generalized_determinant(d, 1)
+        assert (psi.n, psi.d) == (d, d)
+        assert psi.amp.tobytes() == determinant_state(d).amp.tobytes()
 
 
 def level_permutation_indices(d, p):
@@ -84,18 +86,12 @@ def level_permutation_indices(d, p):
                   for perm in itertools.permutations(range(levels)))
 
 
-@pytest.mark.parametrize("d, p", [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2)])
-def test_generalized_determinant_is_det_of_d_to_the_p(d, p):
-    # level k spelled as its p base-d digits leaves the flat index of
-    # det(d**p) unchanged: the same bytes, read as p * d**p parties of dim d
-    psi = generalized_determinant(d, p)
-    assert (psi.n, psi.d) == (p * d**p, d)
-    assert psi.amp.tobytes() == determinant_state(d**p).amp.tobytes()
-
-
 def test_generalized_determinant_22():
     psi = generalized_determinant(2, 2)
     assert (psi.n, psi.d) == (8, 2)
+    # level k spelled as its 2 bits leaves the flat index of det(4)
+    # unchanged: the same bytes, read as 8 qubits
+    assert psi.amp.tobytes() == determinant_state(4).amp.tobytes()
     nz = np.flatnonzero(np.abs(psi.amp) > 1e-12)
     assert nz.size == 24
     assert np.allclose(np.abs(psi.amp[nz]), 1 / math.sqrt(24))
