@@ -18,15 +18,11 @@ from .entopt import (
     minimize_entropy,
     polytope_floor,
     result_to_dict,
-    result_to_json,
     subset_lower_bound,
 )
 from .errors import CapacityError, EntminError, ValidationError
 from .gf2uniform import (
     BitDistribution,
-    Gf2Matrix,
-    PauliString,
-    bipartition_blocks,
     fourier,
     gf2_rank,
     graph_reduced_density,
@@ -35,7 +31,6 @@ from .gf2uniform import (
     is_maximally_uniform_graph,
     min_stabilizer_weight,
     search_maximally_uniform,
-    stabilizer_generators,
 )
 from .hilbert import (
     DensityMatrix,
@@ -81,11 +76,9 @@ __all__ = [
     "CapacityError",
     "DensityMatrix",
     "EntminError",
-    "Gf2Matrix",
     "GraphSpec",
     "OptConfig",
     "OptResult",
-    "PauliString",
     "PolytopeSpec",
     "ProductBasis",
     "PureState",
@@ -94,7 +87,6 @@ __all__ = [
     "antisymmetric_floor",
     "best_subset_lower_bound",
     "bipartite_exact",
-    "bipartition_blocks",
     "determinant_state",
     "entropy_for_bases",
     "enumerate_vertices_generic",
@@ -124,13 +116,11 @@ __all__ = [
     "qpoint_to_distribution",
     "random_state",
     "result_to_dict",
-    "result_to_json",
     "save_graph",
     "save_state",
     "schmidt_decompose",
     "search_maximally_uniform",
     "shannon_entropy",
-    "stabilizer_generators",
     "subset_lower_bound",
     "tensor_product",
     "verify_inf6_chain",

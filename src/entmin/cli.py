@@ -20,6 +20,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -27,7 +28,7 @@ from datetime import datetime, timezone
 from . import entopt, gf2uniform, kpolytope, states, verify
 from .entopt import OptConfig
 from .errors import CapacityError, EntminError, ValidationError
-from .hilbert import embed_local_dims, load_state, save_state, shannon_entropy
+from .hilbert import load_state, save_state, shannon_entropy
 
 try:
     from importlib.metadata import version as _pkg_version
@@ -95,33 +96,44 @@ def _emit(payload: dict, manifest: RunManifest, args,
         _write_text(json.dumps(full, indent=2, sort_keys=False), args.out)
 
 
-def _build_named_state(args):
-    kind = args.kind
+# the flags each state kind takes, with their defaults
+_STATE_PARAMS = {
+    "ghz": {"n": 3, "d": 2},
+    "det": {"n": 3},
+    "gdet": {"d": 2, "p": 1},
+    "graph": {"graph": None},
+    "hexacode": {},
+}
+
+
+def _build_named_state(kind: str, params: dict):
     if kind == "ghz":
-        return states.ghz(args.n, args.d)
+        return states.ghz(params["n"], params["d"])
     if kind == "det":
-        return states.determinant_state(args.n)
+        return states.determinant_state(params["n"])
     if kind == "gdet":
-        return states.generalized_determinant(args.d, args.p)
+        return states.generalized_determinant(params["d"], params["p"])
     if kind == "graph":
-        if args.graph is None:
-            raise ValidationError("kind 'graph' needs --graph EDGEFILE")
-        return states.graph_state(states.load_graph(args.graph))
-    if kind == "hexacode":
-        return states.hexacode_state()
-    raise ValidationError(f"unknown state kind {kind!r}")
+        return states.graph_state(states.load_graph(params["graph"]))
+    return states.hexacode_state()
 
 
 def cmd_state_build(args) -> int:
     if args.out is None:
         raise ValidationError("state build needs --out FILE for the state JSON")
-    manifest = RunManifest("state build", {
-        "kind": args.kind, "n": args.n, "d": args.d, "p": args.p,
-        "graph": args.graph,
-    }, seed=None)
-    if args.kind == "graph" and args.graph is not None:
-        manifest.add_input(args.graph)
-    psi = _build_named_state(args)
+    own = _STATE_PARAMS[args.kind]
+    foreign = [f"--{k}" for k in ("n", "d", "p", "graph")
+               if k not in own and getattr(args, k) is not None]
+    if foreign:
+        raise ValidationError(f"kind {args.kind!r} takes no {' '.join(foreign)}")
+    params = {k: default if getattr(args, k) is None else getattr(args, k)
+              for k, default in own.items()}
+    if args.kind == "graph" and params["graph"] is None:
+        raise ValidationError("kind 'graph' needs --graph EDGEFILE")
+    manifest = RunManifest("state build", {"kind": args.kind, **params}, seed=None)
+    if args.kind == "graph":
+        manifest.add_input(params["graph"])
+    psi = _build_named_state(args.kind, params)
     save_state(psi, args.out)
     summary = {
         "state": {"kind": args.kind, "n": psi.n, "d": psi.d,
@@ -136,13 +148,10 @@ def cmd_state_build(args) -> int:
 def cmd_entropy(args) -> int:
     manifest = RunManifest("entropy", {
         "state": args.state, "restarts": args.restarts, "tol": args.tol,
-        "max_sweeps": args.max_sweeps, "embed_dim": args.embed_dim,
-        "overlap_bound": args.overlap_bound,
+        "max_sweeps": args.max_sweeps, "overlap_bound": args.overlap_bound,
     }, seed=args.seed)
     manifest.add_input(args.state)
     psi = load_state(args.state)
-    if args.embed_dim is not None:
-        psi = embed_local_dims(psi, args.embed_dim)
 
     cfg = OptConfig(restarts=args.restarts, max_sweeps=args.max_sweeps,
                     tol=args.tol, seed=args.seed)
@@ -263,10 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("state", help="state construction")
     ssub = sp.add_subparsers(dest="state_command", required=True)
     bp = ssub.add_parser("build", help="build a named state, save as JSON")
-    bp.add_argument("kind", choices=("ghz", "det", "gdet", "graph", "hexacode"))
-    bp.add_argument("--n", type=int, default=3, help="parties (ghz, det)")
-    bp.add_argument("--d", type=int, default=2, help="local dimension (ghz, gdet)")
-    bp.add_argument("--p", type=int, default=1, help="digits per party (gdet)")
+    bp.add_argument("kind", choices=tuple(_STATE_PARAMS))
+    bp.add_argument("--n", type=int, default=None, help="parties (ghz, det; default 3)")
+    bp.add_argument("--d", type=int, default=None,
+                    help="local dimension (ghz, gdet; default 2)")
+    bp.add_argument("--p", type=int, default=None, help="digits per party (gdet; default 1)")
     bp.add_argument("--graph", default=None, help="edge-list file (graph)")
     bp.add_argument("--out", default=None, help="state JSON path")
     bp.set_defaults(func=cmd_state_build)
@@ -277,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--restarts", type=int, default=24)
     ep.add_argument("--max-sweeps", type=int, default=200)
     ep.add_argument("--tol", type=float, default=1e-10)
-    ep.add_argument("--embed-dim", type=int, default=None,
-                    help="embed every party into this local dimension first")
     ep.add_argument("--basis-out", default=None,
                     help="write the witness measurement basis here as JSON")
     ep.add_argument("--overlap-bound", action="store_true",
@@ -321,10 +329,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_output_paths(args) -> None:
+    """Refuse, before any work, an output that could not be written: --out
+    and --basis-out must name a file in an existing directory, and
+    --out-dir must be a directory."""
+    for path in (getattr(args, "out", None), getattr(args, "basis_out", None)):
+        if path in (None, "-"):
+            continue
+        if os.path.isdir(path):
+            raise ValidationError(f"output file {path} is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValidationError(f"no directory for output file {path}")
+    out_dir = getattr(args, "out_dir", None)
+    if out_dir is not None and not os.path.isdir(out_dir):
+        raise ValidationError(f"--out-dir {out_dir} is not a directory")
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_output_paths(args)
         return args.func(args)
     except CapacityError as exc:
         sys.stderr.write(f"capacity: {exc}\n")

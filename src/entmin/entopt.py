@@ -25,7 +25,6 @@ from __future__ import annotations
 import collections
 import contextlib
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -710,7 +709,3 @@ def result_to_dict(res: OptResult) -> dict:
         "restarts_agreeing": res.restarts_agreeing,
         "seed": res.seed,
     }
-
-
-def result_to_json(res: OptResult) -> str:
-    return json.dumps(result_to_dict(res), indent=2)

@@ -1,7 +1,7 @@
 """GF(2) machinery: bit-string distributions and their parity transform,
-k-uniformity tests, graph-state stabilizers, the closed-form reduced density
-matrix of a graph state, and the balanced-rank search for maximally uniform
-graphs.
+k-uniformity tests, the minimum stabilizer weight of a graph state, the
+closed-form reduced density matrix of a graph state, and the balanced-rank
+search for maximally uniform graphs.
 
 Bit strings use the same big-endian packing as flat state indices: party i
 of n sits at bit n - i (indexing.mask_of_parties), so party 1 is the most
@@ -16,22 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .hilbert import DensityMatrix, PureState, _rotate_all
+from .hilbert import DensityMatrix, _rotate_all
 from .indexing import check_capacity, mask_of_parties, parties_to_axes
 from .states import GraphSpec, _edge_signs
 
 DIST_TOL = 1e-10
-
-_PAULI_LETTERS = ("I", "X", "Y", "Z")
-
-# P * Q = i**t R, keyed by (P, Q) -> (t, R)
-_PAULI_TABLE = {
-    ("I", "I"): (0, "I"), ("I", "X"): (0, "X"), ("I", "Y"): (0, "Y"), ("I", "Z"): (0, "Z"),
-    ("X", "I"): (0, "X"), ("X", "X"): (0, "I"), ("X", "Y"): (1, "Z"), ("X", "Z"): (3, "Y"),
-    ("Y", "I"): (0, "Y"), ("Y", "X"): (3, "Z"), ("Y", "Y"): (0, "I"), ("Y", "Z"): (1, "X"),
-    ("Z", "I"): (0, "Z"), ("Z", "X"): (1, "Y"), ("Z", "Y"): (3, "X"), ("Z", "Z"): (0, "I"),
-}
-
 
 def _hamming_weights(bits: int) -> np.ndarray:
     """Popcounts of 0 .. 2**bits - 1; the parity of idx & mask is
@@ -157,52 +146,12 @@ def parity_constrained_uniform(n: int, checks) -> BitDistribution:
 # ---------------------------------------------------------------------------
 # GF(2) linear algebra on adjacency blocks.
 
-@dataclass(frozen=True, eq=False)
-class Gf2Matrix:
-    """Dense bit matrix over GF(2)."""
-
-    rows: int
-    cols: int
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        if bits.shape != (self.rows, self.cols):
-            raise ValidationError(f"bit block shape {bits.shape} != ({self.rows}, {self.cols})")
-        if np.any(bits > 1):
-            raise ValidationError("entries must be 0/1")
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
-
-    @classmethod
-    def from_array(cls, arr) -> "Gf2Matrix":
-        arr = np.asarray(arr, dtype=np.uint8)
-        return cls(arr.shape[0], arr.shape[1], arr)
-
-
 def gf2_rank(m) -> int:
-    """Rank over GF(2) of a Gf2Matrix or a 0/1 array: _gf2_ranks on a
-    0-d stack of one block, rows packed as object-dtype Python ints so any
-    width fits."""
-    bits = m.bits if isinstance(m, Gf2Matrix) else np.asarray(m, dtype=np.uint8)
-    packed = np.packbits(bits & 1, axis=1)
+    """Rank over GF(2) of a 0/1 array: _gf2_ranks on a 0-d stack of one
+    block, rows packed as object-dtype Python ints so any width fits."""
+    packed = np.packbits(np.asarray(m, dtype=np.uint8) & 1, axis=1)
     return int(_gf2_ranks([np.array(int.from_bytes(row.tobytes(), "big"), dtype=object)
                            for row in packed]))
-
-
-def bipartition_blocks(g: GraphSpec, w) -> tuple:
-    """Adjacency blocks (A_ww, A_bw) for a white vertex subset w.
-
-    A_ww is the |w| x |w| block inside the white set, A_bw the |b| x |w|
-    block from the complement to the white set; vertices ascend in both.
-    """
-    white_axes = parties_to_axes(w, g.v)
-    black_axes = [a for a in range(g.v) if a not in set(white_axes)]
-    if not white_axes or not black_axes:
-        raise ValidationError("subset must leave both sides nonempty")
-    a_ww = g.adj[np.ix_(white_axes, white_axes)]
-    a_bw = g.adj[np.ix_(black_axes, white_axes)]
-    return Gf2Matrix.from_array(a_ww), Gf2Matrix.from_array(a_bw)
 
 
 # Graphs tested together: 8,192 rows of neighbour masks, 0.5 MB at 8
@@ -348,74 +297,6 @@ def search_maximally_uniform(m: int) -> list:
 
 # ---------------------------------------------------------------------------
 # Stabilizers.
-
-@dataclass(frozen=True, eq=False)
-class PauliString:
-    """sign times a tensor product of single-qubit factors I, X, Y, Z.
-
-    Only Hermitian strings are representable (sign +1 or -1); composing
-    two anticommuting strings raises instead of producing a +/-i phase.
-    """
-
-    sign: int
-    factors: tuple
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValidationError(f"sign {self.sign!r} must be +1 or -1")
-        if not self.factors or any(f not in _PAULI_LETTERS for f in self.factors):
-            raise ValidationError(f"bad factor string {self.factors!r}")
-        object.__setattr__(self, "factors", tuple(self.factors))
-
-    @property
-    def n(self) -> int:
-        return len(self.factors)
-
-    def weight(self) -> int:
-        return sum(f != "I" for f in self.factors)
-
-    def compose(self, other: "PauliString") -> "PauliString":
-        """Product self * other; raises if the result is anti-Hermitian."""
-        if other.n != self.n:
-            raise ValidationError("length mismatch")
-        phase = 0 if self.sign == 1 else 2
-        phase += 0 if other.sign == 1 else 2
-        out = []
-        for a, b in zip(self.factors, other.factors):
-            t, r = _PAULI_TABLE[(a, b)]
-            phase += t
-            out.append(r)
-        phase %= 4
-        if phase % 2:
-            raise ValidationError("product has an imaginary overall phase")
-        return PauliString(1 if phase == 0 else -1, tuple(out))
-
-    def apply(self, psi: PureState) -> PureState:
-        """Act on a qubit state."""
-        if psi.d != 2 or psi.n != self.n:
-            raise ValidationError("state shape does not match the operator")
-        n = self.n
-        xmask = mask_of_parties([i for i, f in enumerate(self.factors, 1) if f in "XY"], n)
-        zymask = mask_of_parties([i for i, f in enumerate(self.factors, 1) if f in "ZY"], n)
-        n_y = self.factors.count("Y")
-        idx = np.arange(1 << n)
-        signs = np.where(_hamming_weights(n)[idx & zymask] & 1, -1.0, 1.0)
-        coef = self.sign * (1j) ** (n_y % 4)
-        out = np.empty_like(psi.amp)
-        out[idx ^ xmask] = coef * signs * psi.amp
-        return PureState(n, 2, out)
-
-
-def stabilizer_generators(g: GraphSpec) -> tuple:
-    """One generator per vertex: X there, Z on each neighbor, sign +1."""
-    gens = []
-    for i in range(1, g.v + 1):
-        nbrs = set(g.neighbors(i))
-        factors = tuple("X" if j == i else ("Z" if j in nbrs else "I")
-                        for j in range(1, g.v + 1))
-        gens.append(PauliString(1, factors))
-    return tuple(gens)
-
 
 def min_stabilizer_weight(g: GraphSpec) -> int:
     """Smallest support among the 2^v - 1 nonidentity stabilizer elements.

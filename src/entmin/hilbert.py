@@ -320,23 +320,6 @@ def schmidt_decompose(psi: PureState) -> SchmidtData:
     return SchmidtData(coeffs=sing**2, left_basis=left, right_basis=vh.T)
 
 
-def schmidt_reconstruct(sd: SchmidtData) -> PureState:
-    """Rebuild the two-party state sum_i sqrt(p_i) |l_i> x |r_i>."""
-    d = sd.left_basis.shape[0]
-    m = (sd.left_basis * np.sqrt(sd.coeffs)) @ sd.right_basis.T
-    return PureState(2, d, m.reshape(-1))
-
-
-def embed_local_dims(psi: PureState, big_d: int) -> PureState:
-    """Zero-pad every party's space from dimension d up to big_d."""
-    if big_d < psi.d:
-        raise ValidationError(f"target dimension {big_d} below current {psi.d}")
-    check_capacity(psi.n, big_d)
-    t = np.zeros((big_d,) * psi.n, dtype=np.complex128)
-    t[(slice(0, psi.d),) * psi.n] = psi.tensor()
-    return PureState(psi.n, big_d, t.reshape(-1))
-
-
 # ---------------------------------------------------------------------------
 # State files: {"n": ..., "d": ..., "amp": [[re, im], ...]} in flat order.
 

@@ -54,15 +54,6 @@ class GraphSpec:
         idx = np.argwhere(np.triu(self.adj, 1))
         return tuple((int(i) + 1, int(j) + 1) for i, j in idx)
 
-    def neighbors(self, vertex: int) -> tuple:
-        """1-based neighbor labels of a 1-based vertex."""
-        if not 1 <= vertex <= self.v:
-            raise ValidationError(f"vertex {vertex} out of range")
-        return tuple(int(j) + 1 for j in np.flatnonzero(self.adj[vertex - 1]))
-
-    def degree(self, vertex: int) -> int:
-        return len(self.neighbors(vertex))
-
 
 def ghz(n: int, d: int) -> PureState:
     """Uniform superposition of the d all-equal product strings, n parties."""

@@ -163,10 +163,10 @@ PAULI_MATS = {
 }
 
 
-def pauli_dense(ps):
-    """Dense matrix of a signed Pauli string, party 1 most significant."""
-    m = np.array([[ps.sign + 0.0j]])
-    for f in ps.factors:
+def pauli_dense(factors):
+    """Dense matrix of a string of Pauli letters, party 1 most significant."""
+    m = np.ones((1, 1), dtype=np.complex128)
+    for f in factors:
         m = np.kron(m, PAULI_MATS[f])
     return m
 

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from entmin import entopt, kpolytope
+from entmin import cli, entopt, gf2uniform, kpolytope, states, verify
 from entmin.cli import main
 from entmin.hilbert import load_state
 from entmin.states import determinant_state, ghz, hexacode_state
@@ -42,18 +42,88 @@ def test_state_build_graph_kind(tmp_path, capsys):
     assert (psi.n, psi.d) == (3, 2)
     summary = json.loads(capsys.readouterr().out)
     assert str(edges) in summary["manifest"]["input_hashes"]
+    assert summary["manifest"]["parameters"] == {"kind": "graph", "graph": str(edges)}
+
+
+@pytest.mark.parametrize("argv, shape, params", [
+    (["ghz"], (3, 2), {"n": 3, "d": 2}),
+    (["ghz", "--n", "4"], (4, 2), {"n": 4, "d": 2}),
+    (["det"], (3, 3), {"n": 3}),
+    (["gdet", "--p", "2"], (8, 2), {"d": 2, "p": 2}),
+    (["hexacode"], (6, 2), {}),
+], ids=["ghz", "ghz-n4", "det", "gdet-p2", "hexacode"])
+def test_state_build_records_the_kinds_own_parameters(tmp_path, capsys, argv, shape, params):
+    out = tmp_path / "s.json"
+    assert run(["state", "build", *argv, "--out", str(out)]) == 0
+    psi = load_state(out)
+    assert (psi.n, psi.d) == shape
+    manifest = json.loads(capsys.readouterr().out)["manifest"]
+    assert manifest["parameters"] == {"kind": argv[0], **params}
+
+
+def forbid_work(monkeypatch):
+    """Make every state constructor, state load, search, suite and table
+    fail the test when called."""
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    for mod, names in ((states, ("ghz", "determinant_state", "generalized_determinant",
+                                 "graph_state", "load_graph", "hexacode_state",
+                                 "log2_factorial")),
+                       (cli, ("load_state",)), (verify, ("run_suite",)),
+                       (kpolytope, ("enumerate_vertices_p53", "verify_inf6_chain")),
+                       (gf2uniform, ("search_maximally_uniform",))):
+        for name in names:
+            monkeypatch.setattr(mod, name, fail)
+
+
+@pytest.mark.parametrize("kind, flag", [
+    ("ghz", ["--p", "2"]), ("det", ["--d", "3"]), ("gdet", ["--n", "4"]),
+    ("graph", ["--d", "2"]), ("hexacode", ["--n", "9"]),
+], ids=["ghz", "det", "gdet", "graph", "hexacode"])
+def test_state_build_rejects_a_flag_of_another_kind(monkeypatch, tmp_path, capsys, kind, flag):
+    forbid_work(monkeypatch)
+    edges = tmp_path / "tri.edges"
+    edges.write_text("1 2\n2 3\n1 3\n")
+    graph = ["--graph", str(edges)] if kind == "graph" else []
+    out = tmp_path / "s.json"
+    assert run(["state", "build", kind, *flag, *graph, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: kind {kind!r} takes no {flag[0]}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "build", "ghz", "--out", "{missing}/s.json"],
+    ["entropy", "{state}", "--out", "{missing}/r.json"],
+    ["entropy", "{state}", "--basis-out", "{missing}/w.json"],
+    ["verify", "det", "--out", "{missing}/r.json"],
+    ["table1", "--out", "{missing}/t.csv"],
+    ["table1", "--out", "{tmp}"],
+    ["polytope", "--out", "{missing}/p.csv"],
+    ["polytope", "--chain", "--out", "{missing}/c.json"],
+    ["graphs", "--m", "1", "--out", "{missing}/g.json"],
+    ["graphs", "--m", "1", "--out-dir", "{missing}"],
+    ["graphs", "--m", "2", "--out-dir", "{state}"],
+], ids=["state-build", "entropy-out", "entropy-basis-out", "verify", "table1",
+        "table1-out-is-a-directory", "polytope", "polytope-chain", "graphs-out",
+        "graphs-out-dir-missing", "graphs-out-dir-file"])
+def test_output_paths_are_checked_before_any_work(monkeypatch, tmp_path, capsys, argv):
+    state = hexacode_file(tmp_path)
+    forbid_work(monkeypatch)
+    missing = tmp_path / "missing"
+    argv = [a.format(missing=missing, state=state, tmp=tmp_path) for a in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize("kind", ["ghz", "det", "gdet", "graph", "hexacode"])
 def test_state_build_checks_out_before_building(monkeypatch, tmp_path, capsys, kind):
-    from entmin import states
-
-    def fail(*args, **kwargs):
-        raise AssertionError("state built before --out was checked")
-
-    for name in ("ghz", "determinant_state", "generalized_determinant",
-                 "graph_state", "load_graph", "hexacode_state"):
-        monkeypatch.setattr(states, name, fail)
+    forbid_work(monkeypatch)
     edges = tmp_path / "tri.edges"
     edges.write_text("1 2\n2 3\n1 3\n")
     assert run(["state", "build", kind, "--graph", str(edges)]) == 2
@@ -102,14 +172,11 @@ def test_entropy_overlap_bound_is_reported_apart(tmp_path, capsys):
     assert abs(rep["s_lower_heuristic"] - 1.0) < 1e-6
 
 
-def test_entropy_embed_dim(tmp_path, capsys):
-    state_file = tmp_path / "bell.json"
-    save_state(determinant_state(2), state_file)
-    assert run(["entropy", str(state_file), "--embed-dim", "3",
-                "--restarts", "3", "--out", "-"]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert abs(rep["s_upper"] - 1.0) < 1e-6
-    assert len(rep["basis"][0]) == 3
+def test_entropy_takes_no_embed_dim_option(tmp_path):
+    # a state is searched at its own local dimension; none is padded
+    with pytest.raises(SystemExit) as exc:
+        run(["entropy", hexacode_file(tmp_path), "--embed-dim", "3"])
+    assert exc.value.code == 2
 
 
 def test_entropy_takes_no_polytope_bound_option(tmp_path):

@@ -22,11 +22,10 @@ from entmin.entopt import (
     minimize_entropy,
     polytope_floor,
     result_to_dict,
-    result_to_json,
     subset_lower_bound,
 )
 from entmin.errors import EntminError, ValidationError
-from entmin.gf2uniform import bipartition_blocks, gf2_rank
+from entmin.gf2uniform import gf2_rank
 from entmin.hilbert import (
     EIG_FLOOR,
     ProductBasis,
@@ -372,8 +371,12 @@ def certify_graph(seed):
 
 def balanced_cut_rank(g):
     """Largest GF(2) rank of A_bw over the balanced cuts with vertex 1 white."""
-    return max(gf2_rank(bipartition_blocks(g, (1,) + rest)[1])
-               for rest in itertools.combinations(range(2, g.v + 1), g.v // 2 - 1))
+    ranks = []
+    for rest in itertools.combinations(range(1, g.v), g.v // 2 - 1):
+        white = (0,) + rest
+        black = [a for a in range(g.v) if a not in white]
+        ranks.append(gf2_rank(g.adj[np.ix_(black, white)]))
+    return max(ranks)
 
 
 def test_graph_state_scan_ends_with_its_first_chunk(monkeypatch):
@@ -621,7 +624,7 @@ def test_result_dict_roundtrip(rng):
     psi = random_state(2, 3, rng)
     res = minimize_entropy(psi, OptConfig(restarts=3, max_sweeps=40,
                                           tol=1e-10, seed=5))
-    d = json.loads(result_to_json(res))
+    d = json.loads(json.dumps(result_to_dict(res)))
     assert list(d) == ["s_upper", "s_lower", "lower_bound_witness", "floor",
                        "floor_witness", "s_lower_heuristic", "basis",
                        "converged", "restarts_agreeing", "seed"]

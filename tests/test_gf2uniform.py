@@ -8,9 +8,6 @@ from entmin import gf2uniform
 from entmin.errors import CapacityError, ValidationError
 from entmin.gf2uniform import (
     BitDistribution,
-    Gf2Matrix,
-    PauliString,
-    bipartition_blocks,
     fourier,
     gf2_rank,
     graph_reduced_density,
@@ -21,7 +18,6 @@ from entmin.gf2uniform import (
     min_stabilizer_weight,
     parity_constrained_uniform,
     search_maximally_uniform,
-    stabilizer_generators,
     walsh_transform,
 )
 from entmin.hilbert import partial_trace
@@ -147,7 +143,6 @@ def test_gf2_rank_against_oracle(rng):
         c = int(rng.integers(1, 7))
         arr = rng.integers(0, 2, size=(r, c))
         assert gf2_rank(arr) == gf2_rank_oracle(arr.tolist())
-        assert gf2_rank(Gf2Matrix.from_array(arr)) == gf2_rank_oracle(arr.tolist())
     # no rows, and rows past 64 columns, which no machine word holds; the
     # low-rank products reach deficient ranks
     for r, c in ((0, 5), (5, 64), (64, 65), (70, 130), (130, 70)):
@@ -157,14 +152,13 @@ def test_gf2_rank_against_oracle(rng):
             assert gf2_rank(arr) == gf2_rank_oracle(arr.tolist())
 
 
-def test_bipartition_blocks_prism():
-    g = hexacode_graph()
-    a_ww, a_bw = bipartition_blocks(g, (1, 2, 3))
-    assert isinstance(a_ww, Gf2Matrix) and isinstance(a_bw, Gf2Matrix)
-    # white side {1,2,3} is a triangle; cross block pairs 1-4, 2-5, 3-6
-    assert np.array_equal(np.asarray(a_ww.bits),
-                          np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
-    assert np.array_equal(np.asarray(a_bw.bits), np.eye(3, dtype=np.uint8))
+def test_gf2_rank_of_the_prism_cross_block():
+    adj = hexacode_graph().adj
+    white, black = [0, 1, 2], [3, 4, 5]
+    # white side {1,2,3} is a triangle; the cross block pairs 1-4, 2-5, 3-6
+    assert np.array_equal(adj[np.ix_(white, white)], 1 - np.eye(3, dtype=np.uint8))
+    a_bw = adj[np.ix_(black, white)]
+    assert np.array_equal(a_bw, np.eye(3, dtype=np.uint8))
     assert gf2_rank(a_bw) == 3
 
 
@@ -318,67 +312,20 @@ def test_batched_cut_test_matches_per_graph_oracle(rng):
     assert [is_maximally_uniform_graph(GraphSpec(v, a)) for a in stack] == want.tolist()
 
 
-def test_pauli_apply_matches_dense_oracle(rng):
-    from entmin.hilbert import random_state
-    psi = random_state(3, 2, rng)
-    for factors in ("XYZ", "IZX", "YYI"):
-        for sign in (1, -1):
-            ps = PauliString(sign, factors)
-            assert np.allclose(ps.apply(psi).amp * 1.0,
-                               pauli_dense(ps) @ psi.amp, atol=1e-12)
-
-
-def test_pauli_weight_and_validation():
-    assert PauliString(1, "IXYZ").weight() == 3
-    with pytest.raises(ValidationError):
-        PauliString(2, "XX")
-    with pytest.raises(ValidationError):
-        PauliString(1, "AB")
-
-
-def test_pauli_compose_commuting_pairs():
-    xx = PauliString(1, "XX")
-    zz = PauliString(1, "ZZ")
-    prod = xx.compose(zz)
-    assert np.allclose(pauli_dense(prod), pauli_dense(xx) @ pauli_dense(zz))
-    assert prod.sign == -1 and prod.factors == ("Y", "Y")
-    # anticommuting single-qubit product has an imaginary phase: rejected
-    with pytest.raises(ValidationError):
-        PauliString(1, "X").compose(PauliString(1, "Z"))
-
-
 def test_stabilizer_generators_fix_the_state(rng):
+    # the generator at vertex a is X on a and Z on each neighbour of a
     for g in (hexacode_graph(), random_graph(5, rng)):
         psi = graph_state(g)
-        for s in stabilizer_generators(g):
-            assert np.allclose(s.apply(psi).amp, psi.amp, atol=1e-12)
-
-
-def min_weight_oracle(g):
-    """Compose generator subsets explicitly instead of the packed-int walk."""
-    gens = stabilizer_generators(g)
-    best = g.v
-    for r in range(1, len(gens) + 1):
-        for combo in itertools.combinations(gens, r):
-            p = combo[0]
-            for extra in combo[1:]:
-                p = p.compose(extra)
-            best = min(best, p.weight())
-    return best
-
-
-def test_min_stabilizer_weight_against_compose_oracle(rng):
-    assert min_stabilizer_weight(hexacode_graph()) == 4
-    single = GraphSpec.from_edges(2, ((1, 2),))
-    assert min_stabilizer_weight(single) == 2
-    for _ in range(10):
-        g = random_graph(int(rng.integers(2, 6)), rng)
-        assert min_stabilizer_weight(g) == min_weight_oracle(g)
+        for a in range(g.v):
+            factors = "".join("X" if j == a else ("Z" if g.adj[a, j] else "I")
+                              for j in range(g.v))
+            assert np.allclose(pauli_dense(factors) @ psi.amp, psi.amp, atol=1e-12)
 
 
 def test_min_stabilizer_weight_against_xor_oracle():
     assert min_stabilizer_weight(GraphSpec(5, np.zeros((5, 5), dtype=np.uint8))) == 1
     assert min_stabilizer_weight(hexacode_graph()) == 4
+    assert min_stabilizer_weight(GraphSpec.from_edges(2, ((1, 2),))) == 2
     graphs = []
     for v in range(2, 9):
         graphs.append(GraphSpec(v, 1 - np.eye(v, dtype=np.uint8)))

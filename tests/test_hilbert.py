@@ -14,7 +14,6 @@ from entmin.hilbert import (
     _check_density,
     _entropy_bits,
     _reduced_states,
-    embed_local_dims,
     identity_basis,
     load_state,
     outcome_distribution,
@@ -22,7 +21,6 @@ from entmin.hilbert import (
     random_state,
     save_state,
     schmidt_decompose,
-    schmidt_reconstruct,
     shannon_entropy,
     tensor_product,
     von_neumann_entropy,
@@ -220,8 +218,9 @@ def test_schmidt_roundtrip_and_entropy(rng):
     psi = random_state(2, 4, rng)
     sd = schmidt_decompose(psi)
     assert abs(float(np.sum(sd.coeffs)) - 1.0) < 1e-10
-    back = schmidt_reconstruct(sd)
-    assert abs(abs(np.vdot(back.amp, psi.amp)) - 1.0) < 1e-10
+    # psi = sum_i sqrt(p_i) |l_i> x |r_i>
+    back = (sd.left_basis * np.sqrt(sd.coeffs)) @ sd.right_basis.T
+    assert abs(abs(np.vdot(back.reshape(-1), psi.amp)) - 1.0) < 1e-10
     # measuring in the Schmidt bases yields exactly the coefficient spectrum
     basis = ProductBasis(2, 4, (sd.left_basis, sd.right_basis))
     p = outcome_distribution(psi, basis)
@@ -233,14 +232,6 @@ def test_schmidt_roundtrip_and_entropy(rng):
 def test_schmidt_needs_two_parties(rng):
     with pytest.raises(ValidationError):
         schmidt_decompose(random_state(3, 2, rng))
-
-
-def test_embed_local_dims(rng):
-    psi = random_state(2, 2, rng)
-    big = embed_local_dims(psi, 3)
-    assert (big.n, big.d) == (2, 3)
-    assert np.allclose(big.tensor()[:2, :2], psi.tensor())
-    assert big.tensor()[2, 2] == 0
 
 
 def test_state_file_roundtrip(tmp_path, rng):
