@@ -49,11 +49,9 @@ from .hilbert import (
 )
 from .kpolytope import (
     PolytopeSpec,
-    QPoint53,
     enumerate_vertices_generic,
     enumerate_vertices_p53,
     min_entropy_over_polytope,
-    qpoint_to_distribution,
     verify_inf6_chain,
 )
 from .states import (
@@ -82,7 +80,6 @@ __all__ = [
     "PolytopeSpec",
     "ProductBasis",
     "PureState",
-    "QPoint53",
     "ValidationError",
     "antisymmetric_floor",
     "best_subset_lower_bound",
@@ -113,7 +110,6 @@ __all__ = [
     "outcome_distribution",
     "partial_trace",
     "polytope_floor",
-    "qpoint_to_distribution",
     "random_state",
     "result_to_dict",
     "save_graph",

@@ -228,8 +228,7 @@ def cmd_polytope(args) -> int:
         spec = kpolytope.PolytopeSpec(5, 3)
         dists = kpolytope.enumerate_vertices_generic(spec)
     else:
-        dists = [kpolytope.qpoint_to_distribution(v)
-                 for v in kpolytope.enumerate_vertices_p53()]
+        dists = kpolytope.enumerate_vertices_p53()
     rows = []
     for i, dist in enumerate(dists):
         rows.append((i, round(shannon_entropy(dist.p), 12))
@@ -332,7 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_output_paths(args) -> None:
     """Refuse, before any work, an output that could not be written: --out
     and --basis-out must name a file in an existing directory, and
-    --out-dir must be a directory."""
+    --out-dir must be a directory.  '-' means stdout, except for the state
+    file of state build and for entropy's --basis-out: stdout carries the
+    build summary, and may carry the entropy report."""
+    for flag, path in (("--out", args.out if args.command == "state" else None),
+                       ("--basis-out", getattr(args, "basis_out", None))):
+        if path == "-":
+            raise ValidationError(f"{flag} cannot be '-': stdout carries the command's own output")
     for path in (getattr(args, "out", None), getattr(args, "basis_out", None)):
         if path in (None, "-"):
             continue

@@ -90,14 +90,18 @@ def _check_density(rho: np.ndarray) -> None:
     """Reject a matrix, or a stack of them, that is not Hermitian and of
     unit trace within HERM_TOL; the trace reported is the worst one.  A
     NaN entry fails.  The largest |rho - rho^dag| is taken a few matrices
-    at a time."""
+    at a time, and in blocks of rows for a matrix larger than the slice, so
+    no temporary grows with a large matrix."""
     r = rho.shape[-1]
     stack = rho.reshape((-1, r, r))
     step = max(1, _HERM_SLICE // (r * r))
+    rows = max(1, _HERM_SLICE // r)
     for k in range(0, len(stack), step):
         part = stack[k:k + step]
-        if not np.max(np.abs(part - part.conj().transpose(0, 2, 1))) <= HERM_TOL:
-            raise ValidationError("matrix is not Hermitian within 1e-12")
+        for i in range(0, r, rows):
+            dev = part[:, i:i + rows] - part[:, :, i:i + rows].conj().transpose(0, 2, 1)
+            if not np.max(np.abs(dev)) <= HERM_TOL:
+                raise ValidationError("matrix is not Hermitian within 1e-12")
     tr = np.trace(rho, axis1=-2, axis2=-1).reshape(-1)
     worst = complex(tr[np.argmax(np.abs(tr - 1.0))])
     if not abs(worst - 1.0) <= HERM_TOL:

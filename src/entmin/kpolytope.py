@@ -6,7 +6,8 @@ the 2^n half-spaces p(x) >= 0.  The Shannon entropy is concave, hence its
 minimum over a polytope sits at a vertex; vertices come from a
 double-description enumeration (Motzkin; Fukuda & Prodon 1996), plus a
 closed-form construction for the 5-bit 3-uniform case restricted to the
-p(00000) = 0 face.
+p(00000) = 0 face.  Both routes turn free coefficients into distributions
+the same way: one batched inverse parity transform (_distributions).
 
 Coordinates for that face: q_i is the weight-4 coefficient omitting party i,
 q the weight-5 one.  On the face q = -1 - sum(q_i) and the remaining
@@ -28,15 +29,14 @@ from .gf2uniform import (
     _checked_rows,
     _hamming_weights,
     _k_uniform_rows,
-    inverse_fourier,
     is_k_uniform,
     parity_constrained_uniform,
     walsh_transform,
 )
 from .hilbert import _entropy_bits, shannon_entropy
-from .indexing import mask_of_parties
 
-QPOINT_TOL = 1e-12
+# entry below which a vertex's p(x) counts as negative
+VERTEX_TOL = 1e-12
 DEDUP_DECIMALS = 9
 MAX_FREE_DIM = 8
 # bound on the rays kept and on the (plus, minus) ray pairs tested in one
@@ -50,68 +50,6 @@ CHAIN_SAMPLES = 25
 CHAIN_SEED = 11
 
 TYPE3_ENTROPY = 17.0 / 6.0 + math.log2(3.0)
-
-
-@dataclass(frozen=True, eq=False)
-class QPoint53:
-    """Free Fourier coordinates of a 3-uniform 5-bit distribution.
-
-    qi[i-1] is the weight-4 coefficient omitting party i; q the weight-5
-    coefficient.  The induced p(x) must be nonnegative within 1e-12.
-    """
-
-    q: float
-    qi: tuple
-
-    def __post_init__(self):
-        if len(self.qi) != 5:
-            raise ValidationError(f"need 5 single-omission coefficients, got {len(self.qi)}")
-        object.__setattr__(self, "qi", tuple(float(v) for v in self.qi))
-        object.__setattr__(self, "q", float(self.q))
-        _qpoint_probabilities(np.array([self.q]), np.array([self.qi]))
-
-
-def _qpoint_probabilities(q: np.ndarray, qi: np.ndarray) -> np.ndarray:
-    """p(x) induced by m points' free coordinates, q (m,) and qi (m, 5),
-    as an (m, 32) stack; the first point whose p(x) dips below
-    -QPOINT_TOL (or is NaN) raises."""
-    x = np.arange(32)
-    wt = _hamming_weights(5)
-    bracket = np.repeat(q[:, None], 32, axis=1)
-    for i in range(1, 6):
-        xi = x & mask_of_parties((i,), 5)
-        bracket += qi[:, i - 1, None] * np.where(xi, -1.0, 1.0)
-    p = (1.0 + np.where(wt % 2, -1.0, 1.0) * bracket) / 32.0
-    low = p.min(axis=1)
-    dips = np.flatnonzero(~(low >= -QPOINT_TOL))
-    if dips.size:
-        raise ValidationError(f"induced p(x) dips to {float(low[dips[0]])!r}")
-    return p
-
-
-def qpoint_to_distribution(pt: QPoint53) -> BitDistribution:
-    """The induced 32-outcome distribution; 3-uniform by construction."""
-    return BitDistribution(5, _qpoint_probabilities(np.array([pt.q]), np.array([pt.qi]))[0])
-
-
-def _p53_face_coords() -> np.ndarray:
-    """The qi of the eleven face vertices as (11, 5) rows, apex first; see
-    enumerate_vertices_p53."""
-    eye = np.eye(5)
-    # np.diag keeps +0.0 off the diagonal, where -eye would put -0.0
-    return np.concatenate((np.zeros((1, 5)), np.diag(np.full(5, -1.0)), (2.0 * eye - 1.0) / 3.0))
-
-
-def enumerate_vertices_p53() -> list:
-    """The eleven extreme points of the p(00000) = 0 face, by construction.
-
-    The cone {q_i + q_j <= 0} has apex 0 and ten extreme rays: -e_i, and
-    e_i - sum of the other four (both keep every pair sum <= 0).  Both
-    ray sums are negative (-1 and -3), so cutting with sum(q_i) = -1 turns
-    every ray into a point: -e_i and (e_i - sum of the others) / 3.  The
-    apex comes first, as the eleventh vertex.
-    """
-    return [QPoint53(q=-1.0 - float(vec.sum()), qi=tuple(vec)) for vec in _p53_face_coords()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,13 +102,47 @@ class PolytopeSpec:
         object.__setattr__(self, "eq_a", eq_a)
         object.__setattr__(self, "eq_b", eq_b)
 
-    def coeffs_to_distribution(self, t: np.ndarray) -> BitDistribution:
-        """Free coefficients -> distribution via the inverse parity transform."""
-        q = np.zeros(1 << self.n)
-        q[0] = 1.0
-        for col, y in enumerate(self.free_ys):
-            q[y] = t[col]
-        return inverse_fourier(q, self.n)
+
+def _distributions(spec: PolytopeSpec, rows: np.ndarray) -> list:
+    """The distributions of spec whose free coefficients are the rows of
+    an (m, len(spec.free_ys)) stack: each row's full coefficient vector is
+    1 at string 0, the row at spec.free_ys and 0 elsewhere, and one batched
+    walsh_transform, divided by 2^n, inverts them all.  The first row with
+    an entry below -VERTEX_TOL, or a NaN, raises."""
+    q = np.zeros((len(rows), 1 << spec.n))
+    q[:, 0] = 1.0
+    q[:, spec.free_ys] = rows
+    p = walsh_transform(q) / (1 << spec.n)
+    low = p.min(axis=1)
+    dips = np.flatnonzero(~(low >= -VERTEX_TOL))
+    if dips.size:
+        raise ValidationError(f"induced p(x) dips to {float(low[dips[0]])!r}")
+    return [BitDistribution(spec.n, row) for row in p]
+
+
+def _p53_face_coords() -> np.ndarray:
+    """The qi of the eleven face vertices as (11, 5) rows, apex first; see
+    enumerate_vertices_p53."""
+    eye = np.eye(5)
+    # np.diag keeps +0.0 off the diagonal, where -eye would put -0.0
+    return np.concatenate((np.zeros((1, 5)), np.diag(np.full(5, -1.0)), (2.0 * eye - 1.0) / 3.0))
+
+
+def enumerate_vertices_p53() -> list:
+    """The eleven extreme points of the p(00000) = 0 face, by construction,
+    as distributions.
+
+    The cone {q_i + q_j <= 0} has apex 0 and ten extreme rays: -e_i, and
+    e_i - sum of the other four (both keep every pair sum <= 0).  Both
+    ray sums are negative (-1 and -3), so cutting with sum(q_i) = -1 turns
+    every ray into a point: -e_i and (e_i - sum of the others) / 3.  The
+    apex comes first, as the eleventh vertex.  The face's free_ys are the
+    five single-omission strings, party 1's first, then 11111, so each
+    vertex's free coefficients are (qi, -1 - sum(qi)).
+    """
+    qi = _p53_face_coords()
+    return _distributions(PolytopeSpec(5, 3, zero_faces=(0,)),
+                          np.column_stack((qi, -1.0 - qi.sum(axis=1))))
 
 
 def _null_space(mat: np.ndarray) -> np.ndarray:
@@ -321,7 +293,7 @@ def enumerate_vertices_generic(spec: PolytopeSpec) -> list:
         sols = sols[np.all(sols @ a_red.T <= b_red + 1e-9, axis=1)]
     t = t0 + sols @ nbasis.T
     _, first = np.unique(np.round(t, DEDUP_DECIMALS), axis=0, return_index=True)
-    return [spec.coeffs_to_distribution(row) for row in t[np.sort(first)]]
+    return _distributions(spec, t[np.sort(first)])
 
 
 def min_entropy_over_polytope(spec: PolytopeSpec) -> float:
@@ -364,10 +336,11 @@ def verify_inf6_chain() -> dict:
     The chain takes no input and is recomputed on every call, about 1 ms.
     Links (b) and (c) each run as one array pass: (b) draws, projects,
     marginalizes and tests 3-uniformity on (CHAIN_SAMPLES, 64) and
-    (CHAIN_SAMPLES, 32) stacks, (c) builds the (11, 32) face-vertex stack
-    with the kernel QPoint53 uses.  Only the entropies are taken row by
-    row.  Link (b) then reads its samples in order and stops at the first
-    whose marginal is not 3-uniform or gains more than 1e-12 bits; its
+    (CHAIN_SAMPLES, 32) stacks, (c) reads the eleven face vertices that
+    enumerate_vertices_p53 returns, one batched inverse transform.  Only the
+    entropies are taken row by row.  Link (b) then reads its samples in
+    order and stops at the first whose marginal is not 3-uniform or gains
+    more than 1e-12 bits; its
     worst_entropy_gap is the largest gap among the samples read, None if
     sample 0's marginal is not 3-uniform.  Both facts the link samples
     hold for every distribution, so its gaps sit far below 0 (the largest
@@ -402,9 +375,8 @@ def verify_inf6_chain() -> dict:
         "passed": bool(link_b),
     }
 
-    qi = _p53_face_coords()
-    verts = _checked_rows(_qpoint_probabilities(-1.0 - qi.sum(axis=1), qi))
-    entropies = sorted(_entropy_bits(p) for p in verts)
+    verts = enumerate_vertices_p53()
+    entropies = sorted(_entropy_bits(v.p) for v in verts)
     link_c = len(verts) == 11 and abs(entropies[0] - 4.0) <= 1e-12
     report["links"]["c"] = {
         "name": "face vertices of P_5^3: eleven points, entropy floor 4",

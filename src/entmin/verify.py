@@ -257,7 +257,7 @@ def polytope_suite() -> dict:
     checks = []
     verts = kpolytope.enumerate_vertices_p53()
     checks.append(_close("closed-form vertex count", len(verts), 11, 0))
-    face_ps = [kpolytope.qpoint_to_distribution(v).p for v in verts]
+    face_ps = [v.p for v in verts]
 
     face = kpolytope.PolytopeSpec(5, 3, zero_faces=(0,))
     generic = kpolytope.enumerate_vertices_generic(face)

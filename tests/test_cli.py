@@ -121,6 +121,26 @@ def test_output_paths_are_checked_before_any_work(monkeypatch, tmp_path, capsys,
     assert not missing.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["state", "build", "ghz", "--out", "-"],
+    ["entropy", "{state}", "--basis-out", "-", "--out", "r.json"],
+    ["entropy", "{state}", "--basis-out", "-"],
+], ids=["state-build", "entropy-basis-out", "entropy-basis-out-report-on-stdout"])
+def test_stdout_is_refused_where_it_is_taken(monkeypatch, tmp_path, capsys, argv):
+    # stdout carries the build summary and may carry the entropy report,
+    # so '-' would name a file in the working directory
+    state = hexacode_file(tmp_path)
+    forbid_work(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    before = set(tmp_path.iterdir())
+    assert run([a.format(state=state) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: --")
+    assert "cannot be '-'" in captured.err
+    assert set(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("kind", ["ghz", "det", "gdet", "graph", "hexacode"])
 def test_state_build_checks_out_before_building(monkeypatch, tmp_path, capsys, kind):
     forbid_work(monkeypatch)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -382,6 +383,21 @@ def test_syndrome_codes_for_rows_that_differ_only_past_bit_63():
     assert graph_reduced_density(g, (1, 2, 3)).mat.tobytes() == want.tobytes()
 
 
+def test_graph_reduced_density_peak_stays_within_two_and_a_half_results():
+    # the matrix and DensityMatrix's frozen copy: about 2.0x the result;
+    # building the float outer product, the mask product and the complex
+    # copy side by side read 3.7x here
+    g = random_graph(16, np.random.default_rng([16, 8]))
+    tracemalloc.start()
+    try:
+        rho = graph_reduced_density(g, tuple(range(1, 9)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho.mat.nbytes == 16 << 16
+    assert peak <= 2.5 * rho.mat.nbytes
+
+
 def test_graph_reduced_density_requires_proper_subset():
     g = hexacode_graph()
     with pytest.raises(ValidationError):
@@ -391,7 +407,7 @@ def test_graph_reduced_density_requires_proper_subset():
 
 
 def test_graph_reduced_density_caps_kept_block_before_allocating(monkeypatch):
-    # a 13-vertex kept block would need about 3.6 GB, so the cap must fire
+    # a 13-vertex kept block would need about 2.1 GB, so the cap must fire
     # before any array is built: numpy is unreachable inside the call
     g = GraphSpec(14, np.zeros((14, 14), dtype=np.uint8))
     monkeypatch.setattr(gf2uniform, "np", NoNumpy())

@@ -155,14 +155,17 @@ def whole_stack_is_hermitian(rho):
     return bool(np.max(np.abs(rho - np.swapaxes(rho.conj(), -1, -2))) <= HERM_TOL)
 
 
-@pytest.mark.parametrize("shape", [(40, 2, 2), (9, 64, 64), (3, 128, 128)])
+# past 128 x 128 one matrix is tested in row blocks: 64 rows at 256, and
+# blocks of 42 that do not divide 384
+@pytest.mark.parametrize("shape", [(40, 2, 2), (9, 64, 64), (3, 128, 128), (2, 256, 256),
+                                   (1, 384, 384)])
 def test_sliced_hermitian_test_decides_as_the_whole_stack(rng, shape):
     k, r, _ = shape
     m = rng.standard_normal((k, r, 2 * r)) + 1j * rng.standard_normal((k, r, 2 * r))
     rho = m @ m.conj().transpose(0, 2, 1)
     rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     for defect in (0.5e-12, 0.999e-12, 1.001e-12, 2e-12, 1e-12j, 3e-12j, np.nan):
-        for at in ((k - 1, r - 1, 0), (k // 2, 0, r - 1), (0, 1, 1)):
+        for at in ((k - 1, r - 1, 0), (k // 2, 0, r - 1), (0, 1, 1), (k - 1, r - 2, r - 1)):
             bad = rho.copy()
             bad[at] += defect
             try:

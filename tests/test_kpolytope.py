@@ -11,6 +11,7 @@ from entmin.gf2uniform import (
     BitDistribution,
     _hamming_weights,
     fourier,
+    inverse_fourier,
     is_k_uniform,
     marginal_distribution,
     walsh_transform,
@@ -20,11 +21,9 @@ from entmin.kpolytope import (
     DEDUP_DECIMALS,
     TYPE3_ENTROPY,
     PolytopeSpec,
-    QPoint53,
     enumerate_vertices_generic,
     enumerate_vertices_p53,
     min_entropy_over_polytope,
-    qpoint_to_distribution,
     verify_inf6_chain,
 )
 
@@ -33,7 +32,9 @@ def reference_vertices(spec):
     """The enumerator as first written: every r-subset of the rows is
     solved, in batches, and each solution is then tested for feasibility,
     rounded and looked up in a set of keys one at a time.  Slow, kept only
-    as a cross-check of the double-description enumerator."""
+    as a cross-check of the double-description enumerator.  Each vertex's
+    coefficient vector is built here and inverted by inverse_fourier, so
+    the check does not go through kpolytope._distributions."""
     a, b = spec.ineq_a, spec.ineq_b
     dim = a.shape[1]
     if spec.eq_a.size:
@@ -68,54 +69,71 @@ def reference_vertices(spec):
                 sols = np.linalg.solve(mats[good], b_red[idx[good]][..., None])[..., 0]
                 for u_vec in sols:
                     consider(u_vec)
-    return [spec.coeffs_to_distribution(t) for t in found]
-
-
-def test_qpoint_validation():
-    QPoint53(q=-1.0, qi=(0.0,) * 5)  # a genuine member
-    with pytest.raises(ValidationError):
-        QPoint53(q=0.0, qi=(1.0,) * 5)
-    with pytest.raises(ValidationError):
-        QPoint53(q=0.0, qi=(0.0,) * 4)
+    dists = []
+    for t in found:
+        q = np.zeros(1 << spec.n)
+        q[0] = 1.0
+        q[list(spec.free_ys)] = t
+        dists.append(inverse_fourier(q, spec.n))
+    return dists
 
 
 def value_set(p, decimals=10):
     return set(np.round(p, decimals).tolist())
 
 
-def test_qpoint_example_points():
-    p1 = qpoint_to_distribution(QPoint53(q=-1.0, qi=(0,) * 5)).p
+def test_face_example_vertices():
+    verts = enumerate_vertices_p53()
+    # the apex (qi = 0, q = -1): uniform on the odd-weight strings
+    p1 = verts[0].p
     assert value_set(p1) == {0.0, 0.0625}
     assert abs(shannon_entropy(p1) - 4.0) < 1e-12
 
-    p2 = qpoint_to_distribution(QPoint53(q=0.0, qi=(-1, 0, 0, 0, 0))).p
+    # qi = -e_1, q = 0
+    p2 = verts[1].p
     assert value_set(p2) == {0.0, 0.0625}
     assert abs(shannon_entropy(p2) - 4.0) < 1e-12
 
-    third = 1.0 / 3.0
-    p3 = qpoint_to_distribution(
-        QPoint53(q=0.0, qi=(third, -third, -third, -third, -third))).p
+    # qi = (1, -1, -1, -1, -1) / 3, q = 0
+    p3 = verts[6].p
     assert value_set(p3, 9) == {0.0, round(1 / 12, 9), round(1 / 24, 9)}
     assert abs(shannon_entropy(p3) - TYPE3_ENTROPY) < 1e-12
+
+
+def face_character_sum(qi):
+    """p(x) of the face point with single-omission coefficients qi and
+    weight-5 coefficient -1 - sum(qi), one string x at a time:
+    (1 + sum_i (-1)^(x . y_i) qi[i] + (-1)^|x| q) / 32, with y_i the
+    string omitting party i (party 1 the most significant bit)."""
+    q = -1.0 - sum(qi)
+    p = np.zeros(32)
+    for x in range(32):
+        total = 1.0 + (-1) ** bin(x).count("1") * q
+        for i, c in enumerate(qi):
+            total += (-1) ** bin(x & (31 ^ (16 >> i))).count("1") * c
+        p[x] = total / 32.0
+    return p
 
 
 def test_closed_form_vertices():
     verts = enumerate_vertices_p53()
     assert len(verts) == 11
     for v in verts:
-        dist = qpoint_to_distribution(v)
-        assert abs(float(dist.p.sum()) - 1.0) < 1e-12
-        assert dist.p[0] < 1e-12  # all sit on the p(00000) = 0 face
-        assert is_k_uniform(dist, 3, tol=1e-11)
-    hs = sorted(shannon_entropy(qpoint_to_distribution(v).p) for v in verts)
+        assert isinstance(v, BitDistribution)
+        assert abs(float(v.p.sum()) - 1.0) < 1e-12
+        assert v.p[0] < 1e-12  # all sit on the p(00000) = 0 face
+        assert is_k_uniform(v, 3, tol=1e-11)
+    hs = sorted(shannon_entropy(v.p) for v in verts)
     assert max(abs(h - 4.0) for h in hs[:6]) < 1e-9
     assert max(abs(h - TYPE3_ENTROPY) for h in hs[6:]) < 1e-9
+    for v, qi in zip(verts, kpolytope._p53_face_coords()):
+        assert np.max(np.abs(v.p - face_character_sum(qi))) <= 1e-15
 
 
 def test_generic_enumeration_matches_closed_form_on_the_face():
     face = PolytopeSpec(5, 3, zero_faces=(0,))
     generic = enumerate_vertices_generic(face)
-    closed = [qpoint_to_distribution(v) for v in enumerate_vertices_p53()]
+    closed = enumerate_vertices_p53()
     assert len(generic) == len(closed) == 11
     for c in closed:
         assert min(float(np.max(np.abs(c.p - g.p))) for g in generic) < 1e-9
@@ -209,7 +227,7 @@ def test_full_p53_vertices_are_translated_face_vertices():
     # full polytope is an outcome relabeling x -> x ^ t of a face vertex
     face_keys = set()
     for fv in enumerate_vertices_p53():
-        p = qpoint_to_distribution(fv).p
+        p = fv.p
         for t in range(32):
             face_keys.add(tuple(np.round(p[np.arange(32) ^ t], 8)))
     for v in verts:
@@ -217,7 +235,7 @@ def test_full_p53_vertices_are_translated_face_vertices():
 
 
 def test_entropy_is_concave_between_vertices(rng):
-    dists = [qpoint_to_distribution(v).p for v in enumerate_vertices_p53()]
+    dists = [v.p for v in enumerate_vertices_p53()]
     for _ in range(50):
         i, j = rng.integers(0, len(dists), size=2)
         lam = float(rng.random())
@@ -236,13 +254,24 @@ def test_face_spec_validation_and_capacity():
         PolytopeSpec(1, 1)
 
 
-def test_coeffs_to_distribution_roundtrip():
+def test_free_coefficient_rows_roundtrip():
     spec = PolytopeSpec(4, 3)
     # free coordinate is the single weight-4 coefficient
-    dist = spec.coeffs_to_distribution(np.array([1.0]))
+    (dist,) = kpolytope._distributions(spec, np.array([[1.0]]))
     assert isinstance(dist, BitDistribution)
     assert is_k_uniform(dist, 3)
     assert abs(dist.p[0] - 2 / 16) < 1e-12
+    assert np.array_equal(fourier(dist)[[0, 15]], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("n, k", [(4, 3), (5, 3), (6, 4)])
+def test_a_stack_of_free_rows_gives_its_rows_one_at_a_time(n, k, rng):
+    spec = PolytopeSpec(n, k)
+    # small coefficients keep every p(x) positive
+    rows = 0.1 * rng.uniform(-1.0, 1.0, (9, len(spec.free_ys)))
+    stack = np.array([d.p for d in kpolytope._distributions(spec, rows)])
+    alone = np.array([kpolytope._distributions(spec, row[None])[0].p for row in rows])
+    assert np.array_equal(stack.view(np.int64), alone.view(np.int64))
 
 
 def test_verify_inf6_chain():
@@ -348,17 +377,31 @@ def test_a_failing_member_ends_link_b_as_the_loop_does(monkeypatch):
     assert link["worst_entropy_gap"] == max(gaps) == gaps[3] > 1e-12
 
 
-def test_chain_face_vertices_equal_the_qpoint_distributions():
-    qi = kpolytope._p53_face_coords()
-    stack = kpolytope._qpoint_probabilities(-1.0 - qi.sum(axis=1), qi)
-    points = enumerate_vertices_p53()
-    assert np.array_equal(np.array([v.qi for v in points]), qi)
-    one_at_a_time = np.array([qpoint_to_distribution(v).p for v in points])
-    assert np.array_equal(np.clip(stack, 0.0, None), one_at_a_time)
+def test_chain_link_c_reads_the_closed_form_vertices(monkeypatch):
+    read = []
+
+    def entropy_bits(p):
+        read.append(np.array(p))
+        return hilbert._entropy_bits(p)
+
+    monkeypatch.setattr(kpolytope, "_entropy_bits", entropy_bits)
+    assert verify_inf6_chain()["links"]["c"]["min_entropy"] == 4.0
+    # link (b) reads its 25 samples and their marginals first
+    face = np.array(read[2 * kpolytope.CHAIN_SAMPLES:])
+    want = np.array([v.p for v in enumerate_vertices_p53()])
+    assert face.shape == want.shape == (11, 32)
+    assert np.array_equal(face.view(np.int64), want.view(np.int64))
 
 
-def test_qpoint_rejects_nan_and_dips():
-    with pytest.raises(ValidationError, match="dips to nan"):
-        QPoint53(q=np.nan, qi=(0.0,) * 5)
-    with pytest.raises(ValidationError, match="dips to -"):
-        QPoint53(q=2.0, qi=(0.0,) * 5)
+@pytest.mark.parametrize("row, message", [
+    # qi = (eps, 0, 0, 0, 0) puts p(x) = -eps / 16 on half the even-weight
+    # strings: -1e-11, which only the vertex gate catches
+    ((1.6e-10, 0.0, 0.0, 0.0, 0.0), "dips to -"),
+    ((np.nan, 0.0, 0.0, 0.0, 0.0), "dips to nan"),
+], ids=["dip", "nan"])
+def test_closed_form_vertices_reject_nan_and_dips(monkeypatch, row, message):
+    monkeypatch.setattr(kpolytope, "_p53_face_coords", lambda: np.array([row]))
+    with pytest.raises(ValidationError, match=message):
+        enumerate_vertices_p53()
+    with pytest.raises(ValidationError, match=message):
+        verify_inf6_chain()

@@ -2,8 +2,8 @@
 
 Each `print(...)  # text` line of the quick start must print `text`, or
 the start of `text` up to a space and a parenthesized note.  Each command
-of the "Command line" block must parse, and every name the package
-exports must exist.
+of the "Command line" block must parse, every name the package exports
+must exist, and the "Public API" table must list each of them once.
 """
 
 import contextlib
@@ -54,3 +54,12 @@ def test_command_line_examples_parse():
 
 def test_every_exported_name_resolves():
     assert [name for name in entmin.__all__ if not hasattr(entmin, name)] == []
+
+
+def test_public_api_table_lists_every_exported_name_once():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Public API\n", 1)[1].split("\n## ", 1)[0]
+    names = [name for row in re.findall(r"^\| `entmin\.\w+` \| (.*) \|$", section, flags=re.M)
+             for name in re.findall(r"`(\w+)`", row)]
+    assert sorted(names) == sorted(entmin.__all__)
+    assert f"holds {len(entmin.__all__)} names" in section
