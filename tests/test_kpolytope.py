@@ -227,9 +227,8 @@ def test_full_p53_vertices_are_translated_face_vertices():
     # full polytope is an outcome relabeling x -> x ^ t of a face vertex
     face_keys = set()
     for fv in enumerate_vertices_p53():
-        p = fv.p
         for t in range(32):
-            face_keys.add(tuple(np.round(p[np.arange(32) ^ t], 8)))
+            face_keys.add(tuple(np.round(fv.p[np.arange(32) ^ t], 8)))
     for v in verts:
         assert tuple(np.round(v.p, 8)) in face_keys
 
