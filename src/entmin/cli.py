@@ -298,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("suite", choices=tuple(verify.SUITES) + ("all",))
     vp.add_argument("--m", type=int, default=None,
                     help="restrict the graphs suite to one half-size")
-    vp.add_argument("--out", default=None, help="also write the JSON report here")
+    vp.add_argument("--out", default=None,
+                    help="also write the JSON report to this file (not '-')")
     vp.set_defaults(func=cmd_verify)
 
     tp = sub.add_parser("table1", help="normalized entropies of the "
@@ -309,11 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("polytope", help="vertices of the 5-bit 3-uniform "
                                          "face polytope, or the 6-bit chain")
-    pp.add_argument("--full", action="store_true",
-                    help="enumerate the whole polytope, not just the "
-                         "p(00000) = 0 face")
-    pp.add_argument("--chain", action="store_true",
-                    help="emit the three-link entropy-floor report as JSON")
+    what = pp.add_mutually_exclusive_group()
+    what.add_argument("--full", action="store_true",
+                      help="enumerate the whole polytope, not just the "
+                           "p(00000) = 0 face")
+    what.add_argument("--chain", action="store_true",
+                      help="emit the three-link entropy-floor report as JSON")
     pp.add_argument("--out", default=None, help="output file ('-' = stdout)")
     pp.add_argument("--format", choices=("json", "csv"), default="csv")
     pp.set_defaults(func=cmd_polytope)
@@ -332,9 +334,10 @@ def _check_output_paths(args) -> None:
     """Refuse, before any work, an output that could not be written: --out
     and --basis-out must name a file in an existing directory, and
     --out-dir must be a directory.  '-' means stdout, except for the state
-    file of state build and for entropy's --basis-out: stdout carries the
-    build summary, and may carry the entropy report."""
-    for flag, path in (("--out", args.out if args.command == "state" else None),
+    file of state build, verify's report and entropy's --basis-out: stdout
+    carries the build summary and the PASS/FAIL lines, and may carry the
+    entropy report."""
+    for flag, path in (("--out", args.out if args.command in ("state", "verify") else None),
                        ("--basis-out", getattr(args, "basis_out", None))):
         if path == "-":
             raise ValidationError(f"{flag} cannot be '-': stdout carries the command's own output")

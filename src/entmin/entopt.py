@@ -22,7 +22,6 @@ value, so it is reported in its own field and never raises a rigorous one.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import itertools
 import math
@@ -54,9 +53,6 @@ CLOSE_TOL = 1e-9
 # stacked amplitudes per batched Gram product and eigvalsh in the subset
 # scan; each subset's reshaped amplitude matrix holds d**n of them
 SUBSET_STACK_AMPLITUDES = 1 << 16
-# helper threads that run eigvalsh on the subset scan's built stacks, and
-# the most chunks the scan has with them at once
-SUBSET_EIG_HELPERS = 2
 _SIGNS = np.array([1.0, -1.0])[:, None, None]
 # rows of cand_h holding (h_a, h_b) for candidates +step, -step, vertex
 _CAND_ROWS = np.array(((0, 2), (1, 3), (4, 5)))
@@ -371,59 +367,36 @@ def subset_lower_bound(psi: PureState, x) -> float:
     return von_neumann_entropy(partial_trace(psi, x))
 
 
-def _eig_helpers():
-    """A pool of SUBSET_EIG_HELPERS threads for the subset scan.
-    concurrent.futures is imported here, so importing entmin pays nothing
-    for it."""
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(SUBSET_EIG_HELPERS, thread_name_prefix="entmin-eigvalsh")
-
-
 def _subset_spectra(t: np.ndarray, subsets, per_chunk: int):
     """Yield (chunk, np.linalg.eigvalsh of its reduced states) for each
-    chunk of per_chunk subsets, in order: the subset scan's pipeline.
+    chunk of per_chunk subsets, in scan order.
 
-    The calling thread builds every stack with _reduced_states (the
-    gather, the Gram product and the checks) and decomposes the first
-    chunk itself.  Once a second chunk is asked for, a pool of
-    SUBSET_EIG_HELPERS threads runs eigvalsh, and nothing else, on up to
-    that many built stacks while this thread builds the next; eigvalsh
-    releases the GIL.  Spectra and errors come out in chunk order: a
-    helper's exception is raised when its chunk's turn comes, and a stack
-    that fails its checks raises only after the chunks before it are
-    yielded.  Closing the generator drops the chunks decomposed ahead and
-    shuts the pool down.  A single-chunk scan starts no thread.
+    The first chunk runs on the calling thread alone, so a single-chunk
+    scan starts no thread.  The rest go in pairs: one helper thread builds
+    and decomposes a pair's second chunk while the calling thread does its
+    first (numpy releases the GIL in the Gram products and eigvalsh).
+    Errors come out in scan order; a second chunk that is never read drops
+    its error.  Closing the generator waits for the helper, so no work
+    outlives the scan.  concurrent.futures is imported here, so importing
+    entmin pays nothing for it.
     """
+    def spectra(chunk):
+        return np.linalg.eigvalsh(_reduced_states(t, chunk))
+
     chunks = iter(lambda: list(itertools.islice(subsets, per_chunk)), [])
-    chunk = next(chunks, None)
-    if chunk is None:
+    for chunk in itertools.islice(chunks, 1):
+        yield chunk, spectra(chunk)
+    pair = list(itertools.islice(chunks, 2))
+    if not pair:
         return
-    yield chunk, np.linalg.eigvalsh(_reduced_states(t, chunk))
-    pool = None
-    ahead = collections.deque()
-
-    def oldest():
-        done, spectra = ahead.popleft()
-        return done, spectra.result()
-
-    try:
-        for chunk in chunks:
-            if pool is None:
-                pool = _eig_helpers()
-            try:
-                rho = _reduced_states(t, chunk)
-            except ValidationError:
-                while ahead:
-                    yield oldest()
-                raise
-            ahead.append((chunk, pool.submit(np.linalg.eigvalsh, rho)))
-            if len(ahead) == SUBSET_EIG_HELPERS:
-                yield oldest()
-        while ahead:
-            yield oldest()
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(1, thread_name_prefix="entmin-subset-scan") as pool:
+        while pair:
+            ahead = pool.submit(spectra, pair[1]) if len(pair) == 2 else None
+            yield pair[0], spectra(pair[0])
+            if ahead is not None:
+                yield pair[1], ahead.result()
+            pair = list(itertools.islice(chunks, 2))
 
 
 def best_subset_lower_bound(psi: PureState):
@@ -436,12 +409,10 @@ def best_subset_lower_bound(psi: PureState):
     the hexacode state) is scanned in real arithmetic.  Each size's
     subsets are stacked in chunks of at most SUBSET_STACK_AMPLITUDES
     amplitudes, each chunk one _reduced_states stack (with DensityMatrix's
-    checks) and one eigvalsh, clamped as in von_neumann_entropy.  The
-    chunks go through _subset_spectra's two-stage pipeline: the calling
-    thread builds and checks every stack, clamps every spectrum and takes
-    the entropies, and from a size's second chunk on, helper threads run
-    the eigvalsh calls while the next stack is built.  Chunks are taken in
-    scan order, so the result and any error are the serial scan's.
+    checks) and one eigvalsh, clamped as in von_neumann_entropy.  After a
+    size's first chunk, _subset_spectra runs every second chunk on a helper
+    thread.  Chunks are taken in scan order, so the result and any error
+    are the serial scan's.
 
     Returns (value, witness subset).  The witness is the first maximizer
     in size-then-lexicographic order: a subset replaces the best so far
@@ -455,8 +426,8 @@ def best_subset_lower_bound(psi: PureState):
     steps of under 1e-12 each.
 
     A size s stops after the chunk in which the best so far reaches its
-    capacity s log2 d less 1e-12; chunks the helpers decomposed past that
-    one are discarded unread.  In exact arithmetic no entropy of size s
+    capacity s log2 d less 1e-12; a chunk the helper decomposed past that
+    one is discarded unread.  In exact arithmetic no entropy of size s
     exceeds s log2 d, so no later subset of that size could beat the best
     by more than 1e-12.  AME states and many graph states reach their
     capacity at the top size, often in the first chunk.  In floating

@@ -125,10 +125,13 @@ def test_output_paths_are_checked_before_any_work(monkeypatch, tmp_path, capsys,
     ["state", "build", "ghz", "--out", "-"],
     ["entropy", "{state}", "--basis-out", "-", "--out", "r.json"],
     ["entropy", "{state}", "--basis-out", "-"],
-], ids=["state-build", "entropy-basis-out", "entropy-basis-out-report-on-stdout"])
+    ["verify", "ghz", "--out", "-"],
+], ids=["state-build", "entropy-basis-out", "entropy-basis-out-report-on-stdout",
+        "verify"])
 def test_stdout_is_refused_where_it_is_taken(monkeypatch, tmp_path, capsys, argv):
-    # stdout carries the build summary and may carry the entropy report,
-    # so '-' would name a file in the working directory
+    # stdout carries the build summary and the PASS/FAIL lines, and may
+    # carry the entropy report, so '-' would name a file in the working
+    # directory
     state = hexacode_file(tmp_path)
     forbid_work(monkeypatch)
     monkeypatch.chdir(tmp_path)
@@ -150,6 +153,19 @@ def test_state_build_checks_out_before_building(monkeypatch, tmp_path, capsys, k
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "needs --out" in captured.err
+
+
+def test_polytope_refuses_chain_with_full(monkeypatch, capsys):
+    # the chain report has no place for the whole polytope's vertices
+    forbid_work(monkeypatch)
+    monkeypatch.setattr(kpolytope, "enumerate_vertices_generic",
+                        lambda *a: pytest.fail("enumeration started"))
+    with pytest.raises(SystemExit) as exc:
+        run(["polytope", "--chain", "--full"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 def test_entropy_report_and_hash(tmp_path, capsys):

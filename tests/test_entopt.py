@@ -1,7 +1,9 @@
+import concurrent.futures
 import itertools
 import json
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -262,8 +264,9 @@ def test_subset_scan_spans_chunks(monkeypatch):
     per_chunk = SUBSET_STACK_AMPLITUDES // psi.dim
     calls = count_eigvalsh(monkeypatch)
     assert best_subset_lower_bound(psi) == want
-    # only size 5 is scanned, C(11, 5) = 462 subsets in chunks of 32
-    assert calls == [per_chunk] * 14 + [462 - 14 * per_chunk]
+    # only size 5 is scanned, C(11, 5) = 462 subsets in chunks of 32; the
+    # helper's call may be recorded before the calling thread's
+    assert sorted(calls) == sorted([per_chunk] * 14 + [462 - 14 * per_chunk])
 
 
 def bell_pairs_and_zeros():
@@ -401,17 +404,53 @@ def test_sixteen_qubit_graph_state_reaches_eight_bits_in_a_few_subsets(monkeypat
     assert calls == [1] * len(calls) and len(calls) <= 8
 
 
-def eigvalsh_threads(monkeypatch):
-    """Wrap np.linalg.eigvalsh; the list gets the thread of each call."""
-    threads = []
-    orig = np.linalg.eigvalsh
+def top_size_chunks(n, per_chunk=1):
+    """The chunks of an even-n scan's top size in scan order: the subsets
+    (0-based) that hold party 1."""
+    subsets = [(0,) + rest for rest in itertools.combinations(range(1, n), n // 2 - 1)]
+    return [subsets[i:i + per_chunk] for i in range(0, len(subsets), per_chunk)]
 
-    def recording(a, *args, **kwargs):
-        threads.append(threading.current_thread())
-        return orig(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+def chunk_threads(monkeypatch):
+    """Wrap entopt._reduced_states and np.linalg.eigvalsh; the dict maps
+    each chunk (a tuple of 0-based subsets) to the threads that built and
+    decomposed its stack.  Other eigvalsh calls are not recorded."""
+    threads, stacks = {}, {}
+    build, eig = entopt._reduced_states, np.linalg.eigvalsh
+
+    def building(t, subsets):
+        rho = build(t, subsets)
+        chunk = tuple(subsets)
+        threads[chunk] = [threading.current_thread()]
+        stacks[id(rho)] = (rho, chunk)
+        return rho
+
+    def decomposing(a, *args, **kwargs):
+        rho, chunk = stacks.get(id(a), (None, None))
+        if rho is a:
+            threads[chunk].append(threading.current_thread())
+        return eig(a, *args, **kwargs)
+
+    monkeypatch.setattr(entopt, "_reduced_states", building)
+    monkeypatch.setattr(np.linalg, "eigvalsh", decomposing)
     return threads
+
+
+def assert_helper_takes_every_second_chunk(threads, chunks):
+    """Chunk 1 and the first of each later pair run on the calling thread,
+    both the build and the eigvalsh; the second of each pair on one
+    helper thread."""
+    main = threading.main_thread()
+    assert set(threads) == {tuple(c) for c in chunks}
+    helpers = set()
+    for i, chunk in enumerate(chunks):
+        built, decomposed = threads[tuple(chunk)]
+        assert built is decomposed
+        if i >= 2 and i % 2 == 0:
+            helpers.add(built)
+        else:
+            assert built is main, i
+    assert main not in helpers and len(helpers) == 1
 
 
 def one_subset_per_chunk_states():
@@ -423,8 +462,8 @@ def one_subset_per_chunk_states():
 
 
 def test_pipelined_scan_matches_oracle_bitwise_one_subset_per_chunk(monkeypatch):
-    # one subset per chunk: every chunk after a size's first goes through
-    # the helpers
+    # one subset per chunk: every second chunk after a size's first goes
+    # through the helper
     for psi in one_subset_per_chunk_states():
         want = subset_bound_oracle(psi)
         monkeypatch.setattr(entopt, "SUBSET_STACK_AMPLITUDES", psi.dim)
@@ -432,108 +471,142 @@ def test_pipelined_scan_matches_oracle_bitwise_one_subset_per_chunk(monkeypatch)
 
 
 def test_helpers_decompose_every_chunk_after_the_first(monkeypatch):
-    threads = eigvalsh_threads(monkeypatch)
-    monkeypatch.setattr(entopt, "SUBSET_STACK_AMPLITUDES", 1 << 8)
-    best_subset_lower_bound(seeded_state(8, 2, 7))
-    # only size 4 is scanned: the 35 subsets holding party 1
-    main = threading.main_thread()
-    assert len(threads) == 35
-    assert threads[0] is main and main not in threads[1:]
+    # only size 4 is scanned: the 35 subsets holding party 1, four per chunk
+    threads = chunk_threads(monkeypatch)
+    monkeypatch.setattr(entopt, "SUBSET_STACK_AMPLITUDES", 4 << 8)
+    psi = seeded_state(8, 2, 7)
+    assert best_subset_lower_bound(psi) == subset_bound_oracle(psi)
+    assert_helper_takes_every_second_chunk(threads, top_size_chunks(8, 4))
 
 
-def below_floor_on_call(monkeypatch, k):
-    """Patch np.linalg.eigvalsh so that its k-th call returns an
-    eigenvalue below EIG_FLOOR."""
-    orig = np.linalg.eigvalsh
-    count = itertools.count(1)
+def test_helper_takes_every_second_chunk_at_one_subset_per_chunk(monkeypatch):
+    # the chunk size of 16 or more qubits, or 11 or more qutrits: the
+    # helper still runs every second chunk; size 2 of five qutrits is
+    # scanned whole, C(5, 2) = 10 chunks
+    psi = seeded_state(5, 3, 7)
+    want = subset_bound_oracle(psi)
+    threads = chunk_threads(monkeypatch)
+    monkeypatch.setattr(entopt, "SUBSET_STACK_AMPLITUDES", psi.dim)
+    assert best_subset_lower_bound(psi) == want
+    assert_helper_takes_every_second_chunk(
+        threads, [[x] for x in itertools.combinations(range(5), 2)])
 
-    def patched(a, *args, **kwargs):
-        lam = orig(a, *args, **kwargs)
-        if next(count) == k:
-            lam[..., 0] = 2 * EIG_FLOOR
-        return lam
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", patched)
+def on_chunk(monkeypatch, chunk, change):
+    """Pass entopt's reduced-state stack of one chunk (a list of 0-based
+    subsets) through change, which may replace it or raise; the key is the
+    chunk, not the call order, which the two threads race on."""
+    orig = entopt._reduced_states
+
+    def patched(t, subsets):
+        rho = orig(t, subsets)
+        return change(rho) if list(subsets) == chunk else rho
+
+    monkeypatch.setattr(entopt, "_reduced_states", patched)
+
+
+def below_floor(rho):
+    """A stack whose spectra hold 2 EIG_FLOOR, below the clamp floor."""
+    low = np.zeros_like(rho)
+    low[:, 0, 0], low[:, 1, 1] = 2 * EIG_FLOOR, 1 - 2 * EIG_FLOOR
+    return low
+
+
+def maximally_mixed(rho):
+    """A stack of I/r: entropy log2 r, a size's capacity, exactly."""
+    return np.broadcast_to(np.eye(rho.shape[-1]) / rho.shape[-1], rho.shape).copy()
+
+
+def failed_checks(rho):
+    raise ValidationError("stack failed its checks")
 
 
 def test_helper_spectrum_below_floor_raises_and_the_next_scan_works(monkeypatch):
+    # chunk 3 is the helper's: the second of the first pair
     psi = seeded_state(6, 2, 8)
     want = subset_bound_oracle(psi)
     monkeypatch.setattr(entopt, "SUBSET_STACK_AMPLITUDES", psi.dim)
-    below_floor_on_call(monkeypatch, 3)
-    with pytest.raises(ValidationError, match="below clamp floor"):
-        best_subset_lower_bound(psi)
+    with monkeypatch.context() as m:
+        on_chunk(m, top_size_chunks(6)[2], below_floor)
+        with pytest.raises(ValidationError, match="below clamp floor"):
+            best_subset_lower_bound(psi)
     assert best_subset_lower_bound(psi) == want
 
 
 def test_helper_exception_reaches_the_caller(monkeypatch):
     psi = seeded_state(6, 2, 8)
     monkeypatch.setattr(entopt, "SUBSET_STACK_AMPLITUDES", psi.dim)
-    orig = np.linalg.eigvalsh
-    count = itertools.count(1)
 
-    def failing(a, *args, **kwargs):
-        if next(count) == 4:
-            raise np.linalg.LinAlgError("no convergence")
-        return orig(a, *args, **kwargs)
+    def no_convergence(rho):
+        raise np.linalg.LinAlgError("no convergence")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    on_chunk(monkeypatch, top_size_chunks(6)[2], no_convergence)
     with pytest.raises(np.linalg.LinAlgError, match="no convergence"):
         best_subset_lower_bound(psi)
 
 
-def fail_build_on_call(monkeypatch, k):
-    """Make entopt's k-th _reduced_states call fail its checks."""
-    orig = entopt._reduced_states
-    count = itertools.count(1)
-
-    def failing(t, subsets):
-        if next(count) == k:
-            raise ValidationError("stack failed its checks")
-        return orig(t, subsets)
-
-    monkeypatch.setattr(entopt, "_reduced_states", failing)
-
-
 def test_a_failing_stack_raises_after_the_chunks_before_it(monkeypatch):
-    # chunk 2's spectrum fails its clamp and chunk 3's stack its checks;
-    # the serial scan never builds chunk 3, so chunk 2's error comes out
+    # chunk 2's spectrum fails its clamp and chunk 3's stack its checks; the
+    # two are a pair, built at once, but chunk 2's error comes out first,
+    # as in the serial scan, which never builds chunk 3
     psi = seeded_state(6, 2, 8)
+    chunks = top_size_chunks(6)
     monkeypatch.setattr(entopt, "SUBSET_STACK_AMPLITUDES", psi.dim)
-    below_floor_on_call(monkeypatch, 2)
-    fail_build_on_call(monkeypatch, 3)
+    on_chunk(monkeypatch, chunks[1], below_floor)
+    on_chunk(monkeypatch, chunks[2], failed_checks)
     with pytest.raises(ValidationError, match="below clamp floor"):
         best_subset_lower_bound(psi)
 
 
 def test_lookahead_past_the_capacity_stop_is_discarded(monkeypatch):
-    # chunk 2 reaches size 3's capacity, so the stack built ahead of it
-    # (chunk 3, which fails its checks) is never taken
+    # chunk 2 reaches size 3's capacity, so chunk 3, built with it on the
+    # helper and failing its checks, is never taken
     psi = seeded_state(6, 2, 8)
+    chunks = top_size_chunks(6)
     monkeypatch.setattr(entopt, "SUBSET_STACK_AMPLITUDES", psi.dim)
-    orig = np.linalg.eigvalsh
-    count = itertools.count(1)
-
-    def mixed_on_call_2(a, *args, **kwargs):
-        lam = orig(a, *args, **kwargs)
-        if next(count) == 2:
-            lam[...] = 1.0 / lam.shape[-1]
-        return lam
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", mixed_on_call_2)
-    fail_build_on_call(monkeypatch, 3)
+    on_chunk(monkeypatch, chunks[1], maximally_mixed)
+    on_chunk(monkeypatch, chunks[2], failed_checks)
     val, witness = best_subset_lower_bound(psi)
     assert witness == (1, 2, 4)
     assert abs(val - 3.0) <= 1e-12
+
+
+@pytest.mark.parametrize("stop", [1, 2, 3, 4])
+def test_a_capacity_stop_builds_at_most_one_chunk_past_it(monkeypatch, stop):
+    # chunk `stop` reaches size 3's capacity; only its pair's second chunk
+    # may be built past it
+    psi = seeded_state(6, 2, 8)
+    chunks = top_size_chunks(6)
+    monkeypatch.setattr(entopt, "SUBSET_STACK_AMPLITUDES", psi.dim)
+    on_chunk(monkeypatch, chunks[stop - 1], maximally_mixed)
+    threads = chunk_threads(monkeypatch)
+    val, witness = best_subset_lower_bound(psi)
+    assert witness == tuple(a + 1 for a in chunks[stop - 1][0])
+    assert val == 3.0
+    built = [c for c in chunks if tuple(c) in threads]
+    assert built == chunks[:len(built)]
+    assert stop <= len(built) <= stop + 1
+
+
+def count_pools(monkeypatch):
+    """Wrap concurrent.futures.ThreadPoolExecutor; the list gets one entry
+    per pool."""
+    built = []
+    orig = concurrent.futures.ThreadPoolExecutor
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting)
+    return built
 
 
 @pytest.mark.parametrize("psi", [hexacode_state(), determinant_state(4),
                                  seeded_state(2, 4, 9)],
                          ids=["hexacode", "det4", "two_party"])
 def test_claim_searches_start_no_helper_thread(monkeypatch, psi):
-    built = []
-    orig = entopt._eig_helpers
-    monkeypatch.setattr(entopt, "_eig_helpers", lambda: built.append(1) or orig())
+    built = count_pools(monkeypatch)
     before = set(threading.enumerate())
     minimize_entropy(psi, OptConfig())
     assert built == []
@@ -541,11 +614,26 @@ def test_claim_searches_start_no_helper_thread(monkeypatch, psi):
 
 
 def test_a_multi_chunk_scan_builds_one_pool(monkeypatch):
-    built = []
-    orig = entopt._eig_helpers
-    monkeypatch.setattr(entopt, "_eig_helpers", lambda: built.append(1) or orig())
+    built = count_pools(monkeypatch)
     best_subset_lower_bound(seeded_state(11, 2, 3))
     assert built == [1]
+
+
+@pytest.mark.parametrize("stop", [None, 2], ids=["full-scan", "capacity-stop"])
+def test_no_scan_thread_outlives_the_scan(monkeypatch, stop):
+    # chunk 3, the helper's first, is slow; a helper left running after a
+    # capacity stop in chunk 2 would still be alive on return
+    psi = seeded_state(6, 2, 8)
+    chunks = top_size_chunks(6)
+    monkeypatch.setattr(entopt, "SUBSET_STACK_AMPLITUDES", psi.dim)
+    if stop:
+        on_chunk(monkeypatch, chunks[stop - 1], maximally_mixed)
+    on_chunk(monkeypatch, chunks[2], lambda rho: time.sleep(0.2) or rho)
+    built = count_pools(monkeypatch)
+    before = set(threading.enumerate())
+    best_subset_lower_bound(psi)
+    assert built == [1]
+    assert set(threading.enumerate()) <= before
 
 
 def fail_the_chain(monkeypatch):
