@@ -83,6 +83,8 @@ class OptConfig:
             raise ValidationError(f"tol = {self.tol} must be positive")
         if self.max_sweeps < 1:
             raise ValidationError(f"max_sweeps = {self.max_sweeps} must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed = {self.seed} must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)

@@ -116,15 +116,6 @@ def _k_uniform_rows(p: np.ndarray, k: int, tol: float) -> np.ndarray:
     return np.all(np.abs(walsh_transform(p)[..., mask]) <= tol, axis=-1)
 
 
-def marginal_distribution(dist: BitDistribution, parties) -> BitDistribution:
-    """Marginal over a subset of parties (1-based, ascending order kept)."""
-    axes = parties_to_axes(parties, dist.n)
-    keep = set(axes)
-    drop = tuple(a for a in range(dist.n) if a not in keep)
-    marg = dist.p.reshape((2,) * dist.n).sum(axis=drop).reshape(-1)
-    return BitDistribution(len(axes), marg)
-
-
 def parity_constrained_uniform(n: int, checks) -> BitDistribution:
     """Uniform distribution on the strings with even parity on every check set.
 

@@ -29,7 +29,9 @@ def check_capacity(n: int, d: int) -> None:
         raise ValidationError(f"party count must be >= 1, got {n}")
     if d < 2:
         raise ValidationError(f"local dimension must be >= 2, got {d}")
-    if d**n > MAX_AMPLITUDES:
+    # d >= 2 puts d**n past the cap once n > 22 or d > the cap, so d**n is
+    # only computed where it is small
+    if n > 22 or d > MAX_AMPLITUDES or d**n > MAX_AMPLITUDES:
         raise CapacityError(
             f"state of {n} parties with local dimension {d} needs {d}**{n} "
             f"amplitudes, above the cap of 2**22"

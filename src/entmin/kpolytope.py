@@ -4,7 +4,9 @@ A distribution is k-uniform iff its parity transform vanishes on weights
 1..k, so P_n^k lives in the span of the weight > k coefficients, cut out by
 the 2^n half-spaces p(x) >= 0.  The Shannon entropy is concave, hence its
 minimum over a polytope sits at a vertex; vertices come from a
-double-description enumeration (Motzkin; Fukuda & Prodon 1996), plus a
+double-description enumeration (Motzkin; Fukuda & Prodon 1996), whose
+extreme rays of the homogenized cone, scaled to s = 1, are the vertices
+themselves (a face p(x) = 0 enters as its row taken both ways), plus a
 closed-form construction for the 5-bit 3-uniform case restricted to the
 p(00000) = 0 face.  Both routes turn free coefficients into distributions
 the same way: one batched inverse parity transform (_distributions).
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, EntminError, ValidationError
+from .errors import CapacityError, ValidationError
 from .gf2uniform import (
     BitDistribution,
     _checked_rows,
@@ -37,7 +39,6 @@ from .hilbert import _entropy_bits, shannon_entropy
 
 # entry below which a vertex's p(x) counts as negative
 VERTEX_TOL = 1e-12
-DEDUP_DECIMALS = 9
 MAX_FREE_DIM = 8
 # bound on the rays kept and on the (plus, minus) ray pairs tested in one
 # double-description step
@@ -69,8 +70,6 @@ class PolytopeSpec:
     free_ys: tuple = field(init=False)
     ineq_a: np.ndarray = field(init=False)
     ineq_b: np.ndarray = field(init=False)
-    eq_a: np.ndarray = field(init=False)
-    eq_b: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not 2 <= self.n <= 12:
@@ -89,18 +88,16 @@ class PolytopeSpec:
         faces = tuple(int(x) for x in self.zero_faces)
         if any(not 0 <= x < size for x in faces):
             raise ValidationError(f"zero face out of range: {faces}")
-        eq_a = signs[list(faces)].reshape(len(faces), len(free))
-        eq_b = -np.ones(len(faces))
         if faces:
-            sol = np.linalg.lstsq(eq_a, eq_b, rcond=None)[0]
-            if np.max(np.abs(eq_a @ sol - eq_b)) > 1e-9:
+            # p(x) = 0 reads signs[x] q = -1
+            eq_a = signs[list(faces)]
+            sol = np.linalg.lstsq(eq_a, -np.ones(len(faces)), rcond=None)[0]
+            if np.max(np.abs(eq_a @ sol + 1.0)) > 1e-9:
                 raise ValidationError("face equalities are inconsistent")
         object.__setattr__(self, "zero_faces", faces)
         object.__setattr__(self, "free_ys", free)
         object.__setattr__(self, "ineq_a", -signs)
         object.__setattr__(self, "ineq_b", np.ones(size))
-        object.__setattr__(self, "eq_a", eq_a)
-        object.__setattr__(self, "eq_b", eq_b)
 
 
 def _distributions(spec: PolytopeSpec, rows: np.ndarray) -> list:
@@ -145,38 +142,23 @@ def enumerate_vertices_p53() -> list:
                           np.column_stack((qi, -1.0 - qi.sum(axis=1))))
 
 
-def _null_space(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space, as columns."""
-    _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    rank = int(np.sum(s > 1e-10))
-    return vh[rank:].T
-
-
-def _greedy_bases(mat: np.ndarray, allowed: np.ndarray) -> tuple:
-    """Per row of `allowed`, the first basis of mat's row space among its
-    allowed rows, taking each row in order when it raises the rank.
-
-    For a linear matroid this greedy choice is the lexicographically first
-    independent subset of full size.  One Gram-Schmidt step per row of
-    mat, batched over the rows of `allowed`.  Returns (picks, counts):
-    picks[v, :counts[v]] are the chosen row indices in increasing order.
-    """
-    sets, dim = allowed.shape[0], mat.shape[1]
-    basis = np.zeros((sets, dim, dim))
-    picks = np.zeros((sets, dim), dtype=np.intp)
-    counts = np.zeros(sets, dtype=np.intp)
+def _greedy_basis(mat: np.ndarray) -> np.ndarray:
+    """The first basis of mat's row space among its rows, taking each row
+    in order when it raises the rank: one Gram-Schmidt step per row, a row
+    counting when its residual norm exceeds DD_TOL.  Returns the chosen
+    row indices in increasing order."""
+    dim = mat.shape[1]
+    basis = np.zeros((dim, dim))
+    picks = []
     for j, row in enumerate(mat):
-        v = np.flatnonzero(allowed[:, j] & (counts < dim))
-        if v.size == 0:
-            continue
-        res = row - np.einsum("vk,vkd->vd", basis[v] @ row, basis[v])
-        norm = np.linalg.norm(res, axis=1)
-        grow = norm > DD_TOL
-        v = v[grow]
-        basis[v, counts[v]] = res[grow] / norm[grow, None]
-        picks[v, counts[v]] = j
-        counts[v] += 1
-    return picks, counts
+        res = row - (basis @ row) @ basis
+        norm = np.linalg.norm(res)
+        if norm > DD_TOL:
+            basis[len(picks)] = res / norm
+            picks.append(j)
+            if len(picks) == dim:
+                break
+    return np.array(picks, dtype=np.intp)
 
 
 def _adjacent_pairs(zero_plus: np.ndarray, zero_minus: np.ndarray,
@@ -201,8 +183,8 @@ def _adjacent_pairs(zero_plus: np.ndarray, zero_minus: np.ndarray,
     return ip[keep], iq[keep]
 
 
-def _extreme_rays(h: np.ndarray) -> tuple:
-    """Extreme rays of the pointed cone {x : h x <= 0}, with zero sets.
+def _extreme_rays(h: np.ndarray) -> np.ndarray:
+    """Extreme rays of the pointed cone {x : h x <= 0}, as rows.
     h must have full column rank, which makes the cone pointed.
 
     Double description (Motzkin; Fukuda & Prodon, "Double description
@@ -212,10 +194,10 @@ def _extreme_rays(h: np.ndarray) -> tuple:
     row stay, and each adjacent pair of a positive and a negative ray is
     combined into a ray on the new row's hyperplane.  Raises
     CapacityError before a step whose rays or ray pairs exceed
-    MAX_DD_PAIRS.  Returns (rays as rows, boolean zero sets over h's rows).
+    MAX_DD_PAIRS.
     """
     rows, dim = h.shape
-    sel = _greedy_bases(h, np.ones((1, rows), dtype=bool))[0][0]
+    sel = _greedy_basis(h)
     rays = -np.linalg.inv(h[sel]).T
     rays /= np.max(np.abs(rays), axis=1, keepdims=True)
     zero = np.zeros((dim, rows), dtype=bool)
@@ -242,58 +224,26 @@ def _extreme_rays(h: np.ndarray) -> tuple:
         new_zero[:, j] = True
         rays = np.concatenate([rays[~plus], new])
         zero = np.concatenate([zero[~plus], new_zero])
-    return rays, zero
+    return rays
 
 
 def enumerate_vertices_generic(spec: PolytopeSpec) -> list:
     """Vertex enumeration by double description.
 
-    Face equalities are eliminated first (min-norm particular solution t0
-    plus an orthonormal null basis), leaving {u : a_red u <= b_red}.  Its
-    homogenization {(u, s) : a_red u <= b_red s, s >= 0} is a pointed cone
-    (the polytope is bounded), and its extreme rays with s > 0 are the
-    vertices.  Each vertex is then re-solved from the lexicographically
-    first r-subset of its tight rows with |det| > 1e-9, in the order of
-    those subsets, tested against the whole system and deduplicated within
-    1e-9.  That is the solve, and the order, that a walk over every
-    r-subset of the rows keeping the first solution of each vertex would
-    give.  Returns distributions.
+    The homogenized cone {(q, s) : a q <= b s, s >= 0}, with the row of
+    each zero face also taken reversed so that it holds with equality, is
+    pointed (the polytope is bounded).  Its extreme rays with s > DD_TOL,
+    scaled to s = 1, are the vertices, in the order the double description
+    leaves them.  Returns distributions.
     """
-    a = spec.ineq_a
-    b = spec.ineq_b
-    dim = a.shape[1]
-    if spec.eq_a.size:
-        t0 = np.linalg.lstsq(spec.eq_a, spec.eq_b, rcond=None)[0]
-        nbasis = _null_space(spec.eq_a)
-    else:
-        t0 = np.zeros(dim)
-        nbasis = np.eye(dim)
-    r = nbasis.shape[1]
-    a_red = a @ nbasis
-    b_red = b - a @ t0
-
-    if r == 0:
-        sols = np.zeros((1, 0))
-    else:
-        # row 0 is s >= 0; row 1 + x is a_red[x] u - b_red[x] s <= 0
-        h = np.zeros((1 + a_red.shape[0], r + 1))
-        h[0, r] = -1.0
-        h[1:, :r] = a_red
-        h[1:, r] = -b_red
-        rays, zero = _extreme_rays(h)
-        tight = zero[rays[:, r] > DD_TOL, 1:]
-        picks, counts = _greedy_bases(a_red, tight)
-        mats = a_red[picks]                    # (V, r, r)
-        if np.any(counts < r) or np.any(np.abs(np.linalg.det(mats)) <= 1e-9):
-            raise EntminError("a vertex's tight rows have no basis with |det| > 1e-9")
-        order = np.lexsort(picks.T[::-1])
-        picks, mats = picks[order], mats[order]
-        # trailing axis keeps the rhs a stack of vectors under numpy 2
-        sols = np.linalg.solve(mats, b_red[picks][..., None])[..., 0]
-        sols = sols[np.all(sols @ a_red.T <= b_red + 1e-9, axis=1)]
-    t = t0 + sols @ nbasis.T
-    _, first = np.unique(np.round(t, DEDUP_DECIMALS), axis=0, return_index=True)
-    return _distributions(spec, t[np.sort(first)])
+    dim = len(spec.free_ys)
+    ineqs = np.column_stack((spec.ineq_a, -spec.ineq_b))
+    # row 0 is s >= 0, row 1 + x is a[x] q - b[x] s <= 0, then the face rows reversed
+    h = np.concatenate([np.zeros((1, dim + 1)), ineqs, -ineqs[list(spec.zero_faces)]])
+    h[0, dim] = -1.0
+    rays = _extreme_rays(h)
+    rays = rays[rays[:, dim] > DD_TOL]
+    return _distributions(spec, rays[:, :dim] / rays[:, dim, None])
 
 
 def min_entropy_over_polytope(spec: PolytopeSpec) -> float:

@@ -107,6 +107,9 @@ def generalized_determinant(d: int, p: int) -> PureState:
     """
     if d < 2 or p < 1:
         raise ValidationError(f"need d >= 2 and p >= 1, got ({d}, {p})")
+    if p > 4:  # then p * d**p > 22 parties, so d**p is never built
+        raise CapacityError(f"{p} * {d}**{p} parties of local dimension {d} "
+                            f"need more amplitudes than the cap of 2**22")
     n = p * d**p
     check_capacity(n, d)
     return PureState(n, d, determinant_state(d**p).amp)
@@ -121,9 +124,10 @@ def generalized_determinant_support(d: int, p: int):
     """
     if d < 2 or p < 1:
         raise ValidationError(f"need d >= 2 and p >= 1, got ({d}, {p})")
-    levels = d**p
-    if math.factorial(levels) > 1_000_000:
+    # 10! > 1e6 and d**p >= 2**p, so no big integer is built to reject
+    if p > 3 or d**p > 9:
         raise CapacityError(f"({d}**{p})! outcomes is beyond enumeration capacity")
+    levels = d**p
     idx = [flat_from_digits(perm, levels) for perm in itertools.permutations(range(levels))]
     return np.array(sorted(idx), dtype=np.int64), 1.0 / math.factorial(levels)
 

@@ -2,6 +2,7 @@
 reimplementations used to cross-check the library's fast paths."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,20 @@ class NoNumpy:
 
     def __getattr__(self, name):
         raise AssertionError(f"np.{name} used before the capacity check")
+
+
+def capacity_error_peak(call, *args):
+    """call(*args) must raise CapacityError; returns the peak bytes that
+    tracemalloc saw allocated meanwhile."""
+    from entmin.errors import CapacityError
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def product_column(mats, digits):

@@ -541,6 +541,26 @@ def test_exit_code_capacity(tmp_path):
                 "--out", str(tmp_path / "x.json")]) == 3
 
 
+def test_a_huge_gdet_exits_3_without_building_its_size(tmp_path, capsys):
+    # 40 * 2**40 parties: 2 to that power is never built
+    assert run(["state", "build", "gdet", "--p", "40", "--out", str(tmp_path / "x.json")]) == 3
+    assert capsys.readouterr().err.startswith("capacity: ")
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("restarts", ["2", "3"])
+def test_negative_seed_exits_2_before_the_search(tmp_path, capsys, monkeypatch, restarts):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(entopt, "minimize_entropy", no_search)
+    assert run(["entropy", hexacode_file(tmp_path), "--seed", "-1",
+                "--restarts", restarts, "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: seed = -1 must be >= 0\n"
+
+
 def test_entropy_basis_out(tmp_path, capsys):
     state_file = tmp_path / "bell.json"
     save_state(determinant_state(2), state_file)

@@ -78,6 +78,8 @@ def test_optconfig_validation():
         OptConfig(tol=0.0)
     with pytest.raises(ValidationError):
         OptConfig(max_sweeps=0)
+    with pytest.raises(ValidationError, match="seed = -1 must be >= 0"):
+        OptConfig(seed=-1)
 
 
 def test_optresult_rejects_crossed_bounds():

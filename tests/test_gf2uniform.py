@@ -15,7 +15,6 @@ from entmin.gf2uniform import (
     inverse_fourier,
     is_k_uniform,
     is_maximally_uniform_graph,
-    marginal_distribution,
     min_stabilizer_weight,
     parity_constrained_uniform,
     search_maximally_uniform,
@@ -129,13 +128,6 @@ def test_parity_constrained_uniform():
         assert (b[2] + b[3] + b[4] + b[5]) % 2 == 0
     assert is_k_uniform(dist, 3)
     assert not is_k_uniform(dist, 4)
-
-
-def test_marginal_distribution(rng):
-    dist = random_dist(4, rng)
-    m = marginal_distribution(dist, (2, 4))
-    p = dist.p.reshape((2,) * 4)
-    assert np.allclose(m.p.reshape(2, 2), p.sum(axis=(0, 2)), atol=1e-14)
 
 
 def test_gf2_rank_against_oracle(rng):

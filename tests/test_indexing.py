@@ -3,7 +3,9 @@ import pytest
 
 from entmin.errors import ValidationError
 from entmin.hilbert import partial_trace, random_state
-from entmin.indexing import flat_from_digits, mask_of_parties, parties_to_axes
+from entmin.indexing import check_capacity, flat_from_digits, mask_of_parties, parties_to_axes
+
+from conftest import capacity_error_peak
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -34,3 +36,8 @@ def test_party_labels_may_come_from_a_generator(rng):
     psi = random_state(3, 2, rng)
     rho = partial_trace(psi, (p for p in (1, 2)))
     assert np.array_equal(rho.mat, partial_trace(psi, (1, 2)).mat)
+
+
+def test_capacity_check_builds_no_big_integer():
+    # 2**(10**8) alone would be a 12.5 MB integer
+    assert capacity_error_peak(check_capacity, 10**8, 2) < 1 << 20

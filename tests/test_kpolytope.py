@@ -13,12 +13,10 @@ from entmin.gf2uniform import (
     fourier,
     inverse_fourier,
     is_k_uniform,
-    marginal_distribution,
     walsh_transform,
 )
 from entmin.hilbert import shannon_entropy
 from entmin.kpolytope import (
-    DEDUP_DECIMALS,
     TYPE3_ENTROPY,
     PolytopeSpec,
     enumerate_vertices_generic,
@@ -28,18 +26,32 @@ from entmin.kpolytope import (
 )
 
 
+# decimals to which two solutions count as one vertex
+REFERENCE_DECIMALS = 9
+
+
+def reference_null_space(mat):
+    """Orthonormal basis of mat's null space, as columns, from its SVD."""
+    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    return vh[int(np.sum(s > 1e-10)):].T
+
+
 def reference_vertices(spec):
-    """The enumerator as first written: every r-subset of the rows is
-    solved, in batches, and each solution is then tested for feasibility,
-    rounded and looked up in a set of keys one at a time.  Slow, kept only
-    as a cross-check of the double-description enumerator.  Each vertex's
-    coefficient vector is built here and inverted by inverse_fourier, so
-    the check does not go through kpolytope._distributions."""
+    """The enumerator as first written: the face equalities are eliminated
+    (a least-squares particular solution plus a null-space basis), every
+    r-subset of the remaining rows is solved, in batches, and each solution
+    is then tested for feasibility, rounded and looked up in a set of keys
+    one at a time.  Slow, kept only as a cross-check of the
+    double-description enumerator.  Each vertex's coefficient vector is
+    built here and inverted by inverse_fourier, so the check does not go
+    through kpolytope._distributions."""
     a, b = spec.ineq_a, spec.ineq_b
     dim = a.shape[1]
-    if spec.eq_a.size:
-        t0 = np.linalg.lstsq(spec.eq_a, spec.eq_b, rcond=None)[0]
-        nbasis = kpolytope._null_space(spec.eq_a)
+    faces = list(spec.zero_faces)
+    if faces:
+        # p(x) = 0 is the row of x held with equality
+        t0 = np.linalg.lstsq(a[faces], b[faces], rcond=None)[0]
+        nbasis = reference_null_space(a[faces])
     else:
         t0 = np.zeros(dim)
         nbasis = np.eye(dim)
@@ -52,7 +64,7 @@ def reference_vertices(spec):
         if np.any(a_red @ u_vec > b_red + 1e-9):
             return
         t = t0 + nbasis @ u_vec
-        key = tuple(np.round(t, DEDUP_DECIMALS))
+        key = tuple(np.round(t, REFERENCE_DECIMALS))
         if key not in seen:
             seen.add(key)
             found.append(t)
@@ -150,11 +162,27 @@ def test_generic_enumeration_matches_closed_form_on_the_face():
     PolytopeSpec(5, 3, zero_faces=(0,)),
 ], ids=["P21", "P31", "P42", "P22", "P32", "P43", "P53-face"])
 def test_bulk_enumeration_matches_per_candidate_reference(spec):
-    got = enumerate_vertices_generic(spec)
-    want = reference_vertices(spec)
+    got = np.array([v.p for v in enumerate_vertices_generic(spec)])
+    want = np.array([v.p for v in reference_vertices(spec)])
     assert len(got) == len(want) > 0
-    for g, w in zip(got, want):  # same vertices in the same order
-        assert np.max(np.abs(g.p - w.p)) <= 1e-15
+    # the same vertices, in any order: each within 1e-15 of one of the other set
+    gap = np.max(np.abs(got[:, None, :] - want[None, :, :]), axis=2)
+    assert np.max(gap.min(axis=1)) <= 1e-15
+    assert np.max(gap.min(axis=0)) <= 1e-15
+
+
+def test_inconsistent_faces_are_rejected():
+    # P_2^1 has one free coefficient q, and p(x) = 0 reads q = -1 at
+    # x = 0, 3 but q = 1 at x = 1, 2
+    with pytest.raises(ValidationError, match="face equalities are inconsistent"):
+        PolytopeSpec(2, 1, zero_faces=(0, 1, 2, 3))
+
+
+def test_two_faces_leave_one_vertex():
+    # p(00) = p(11) = 0 pins q = -1: the odd-parity vertex alone
+    verts = enumerate_vertices_generic(PolytopeSpec(2, 1, zero_faces=(0, 3)))
+    assert len(verts) == 1
+    assert np.array_equal(verts[0].p, [0.0, 0.5, 0.5, 0.0])
 
 
 def test_dd_budget_fires_before_the_step_allocates(monkeypatch):
@@ -322,7 +350,8 @@ def loop_link_b(members):
     worst = None
     for p in members:
         member = BitDistribution(6, p)
-        marg = marginal_distribution(member, (1, 2, 3, 4, 5))
+        # bit 6 is the last axis of the (2,) * 6 array
+        marg = BitDistribution(5, member.p.reshape((2,) * 6).sum(axis=5).reshape(32))
         if not is_k_uniform(marg, 3, 1e-9):
             return False, worst
         gap = shannon_entropy(marg.p) - shannon_entropy(member.p)

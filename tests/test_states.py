@@ -22,7 +22,7 @@ from entmin.states import (
 
 from entmin import states
 
-from conftest import NoNumpy, edge_sign_oracle
+from conftest import NoNumpy, capacity_error_peak, edge_sign_oracle
 
 
 def test_ghz_amplitudes():
@@ -113,6 +113,12 @@ def test_generalized_determinant_cap_fires_before_allocating(monkeypatch, d, p):
     monkeypatch.setattr(states, "np", NoNumpy())
     with pytest.raises(CapacityError):
         generalized_determinant(d, p)
+
+
+@pytest.mark.parametrize("build", [generalized_determinant, generalized_determinant_support])
+def test_gdet_capacity_checks_build_no_big_integer(build):
+    # 2**24 levels: 2**(24 * 2**24) amplitudes, (2**24)! outcomes
+    assert capacity_error_peak(build, 2, 24) < 1 << 20
 
 
 def test_graph_state_single_edge():
