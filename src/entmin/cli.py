@@ -331,23 +331,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_output_paths(args) -> None:
-    """Refuse, before any work, an output that could not be written: --out
-    and --basis-out must name a file in an existing directory, and
-    --out-dir must be a directory.  '-' means stdout, except for the state
-    file of state build, verify's report and entropy's --basis-out: stdout
-    carries the build summary and the PASS/FAIL lines, and may carry the
-    entropy report."""
+    """Refuse, before any work, an output that could not be written or
+    would destroy another file of the run: --out and --basis-out must name
+    a file in an existing directory, neither the input state file nor
+    --graph, and not the same file; --out-dir must be a directory.  '-'
+    means stdout, except for the state file of state build, verify's report
+    and entropy's --basis-out: stdout carries the build summary and the
+    PASS/FAIL lines, and may carry the entropy report."""
     for flag, path in (("--out", args.out if args.command in ("state", "verify") else None),
                        ("--basis-out", getattr(args, "basis_out", None))):
         if path == "-":
             raise ValidationError(f"{flag} cannot be '-': stdout carries the command's own output")
-    for path in (getattr(args, "out", None), getattr(args, "basis_out", None)):
+    inputs = {os.path.realpath(path): path
+              for path in (getattr(args, "state", None), getattr(args, "graph", None))
+              if path is not None}
+    written = {}
+    for flag, path in (("--out", getattr(args, "out", None)),
+                       ("--basis-out", getattr(args, "basis_out", None))):
         if path in (None, "-"):
             continue
         if os.path.isdir(path):
             raise ValidationError(f"output file {path} is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ValidationError(f"no directory for output file {path}")
+        real = os.path.realpath(path)
+        if real in inputs:
+            raise ValidationError(f"{flag} {path} would overwrite the input file {inputs[real]}")
+        if real in written:
+            raise ValidationError(f"{written[real]} and {flag} name the same file {path}")
+        written[real] = flag
     out_dir = getattr(args, "out_dir", None)
     if out_dir is not None and not os.path.isdir(out_dir):
         raise ValidationError(f"--out-dir {out_dir} is not a directory")

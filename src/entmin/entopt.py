@@ -38,6 +38,7 @@ from .hilbert import (
     _entropy_bits,
     _reduced_states,
     _rotate_all,
+    _stack_space,
     outcome_distribution,
     partial_trace,
     schmidt_decompose,
@@ -369,7 +370,7 @@ def subset_lower_bound(psi: PureState, x) -> float:
     return von_neumann_entropy(partial_trace(psi, x))
 
 
-def _subset_spectra(t: np.ndarray, subsets, per_chunk: int):
+def _subset_spectra(t: np.ndarray, subsets, per_chunk: int, spaces):
     """Yield (chunk, np.linalg.eigvalsh of its reduced states) for each
     chunk of per_chunk subsets, in scan order.
 
@@ -377,25 +378,35 @@ def _subset_spectra(t: np.ndarray, subsets, per_chunk: int):
     scan starts no thread.  The rest go in pairs: one helper thread builds
     and decomposes a pair's second chunk while the calling thread does its
     first (numpy releases the GIL in the Gram products and eigvalsh).
-    Errors come out in scan order; a second chunk that is never read drops
-    its error.  Closing the generator waits for the helper, so no work
-    outlives the scan.  concurrent.futures is imported here, so importing
-    entmin pays nothing for it.
+    spaces holds two stack spaces (see hilbert._stack_space), the calling
+    thread's and the helper's; each thread builds every stack of its own
+    in its space, fitted to the first chunk, the largest.  Errors come out
+    in scan order; a second chunk that is never read drops its error.
+    Closing the generator waits for the helper, so no work outlives the
+    scan.  concurrent.futures is imported here, so importing entmin pays
+    nothing for it.
     """
-    def spectra(chunk):
-        return np.linalg.eigvalsh(_reduced_states(t, chunk))
+    def spectra(chunk, space):
+        return np.linalg.eigvalsh(_reduced_states(t, chunk, space))
 
     chunks = iter(lambda: list(itertools.islice(subsets, per_chunk)), [])
-    for chunk in itertools.islice(chunks, 1):
-        yield chunk, spectra(chunk)
+    first = next(chunks, None)
+    if first is None:
+        return
+    fit = (t, len(first), t.shape[0] ** len(first[0]))
+    yield first, spectra(first, _stack_space(*fit, spaces[0]))
     pair = list(itertools.islice(chunks, 2))
     if not pair:
         return
+    # The helper's space is allocated here, on the calling thread, so the
+    # helper thread allocates no stack: its large allocations stay out of
+    # the glibc malloc arena a thread of its own would get.
+    helper = _stack_space(*fit, spaces[1])
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(1, thread_name_prefix="entmin-subset-scan") as pool:
         while pair:
-            ahead = pool.submit(spectra, pair[1]) if len(pair) == 2 else None
-            yield pair[0], spectra(pair[0])
+            ahead = pool.submit(spectra, pair[1], helper) if len(pair) == 2 else None
+            yield pair[0], spectra(pair[0], spaces[0])
             if ahead is not None:
                 yield pair[1], ahead.result()
             pair = list(itertools.islice(chunks, 2))
@@ -414,7 +425,10 @@ def best_subset_lower_bound(psi: PureState):
     checks) and one eigvalsh, clamped as in von_neumann_entropy.  After a
     size's first chunk, _subset_spectra runs every second chunk on a helper
     thread.  Chunks are taken in scan order, so the result and any error
-    are the serial scan's.
+    are the serial scan's.  The calling thread and the helper each build
+    their stacks in one space per call, allocated on the calling thread and
+    grown only when a later size's first chunk needs more, so no chunk
+    allocates or page-faults its stacks anew.
 
     Returns (value, witness subset).  The witness is the first maximizer
     in size-then-lexicographic order: a subset replaces the best so far
@@ -443,6 +457,7 @@ def best_subset_lower_bound(psi: PureState):
     amp = psi.amp.real if not psi.amp.imag.any() else psi.amp
     t = amp.reshape((psi.d,) * n)
     per_chunk = max(1, SUBSET_STACK_AMPLITUDES // psi.dim)
+    spaces = ([None] * 3, [None] * 3)
     best = 0.0
     witness = ()
 
@@ -463,7 +478,7 @@ def best_subset_lower_bound(psi: PureState):
             subsets = itertools.combinations(range(n), size)
         cap = size * log_d - 1e-12
         pairs = []
-        with contextlib.closing(_subset_spectra(t, subsets, per_chunk)) as spectra:
+        with contextlib.closing(_subset_spectra(t, subsets, per_chunk, spaces)) as spectra:
             while best < cap and (item := next(spectra, None)):
                 chunk, lam = item
                 fresh = list(zip(chunk, map(_entropy_bits, _clamped_spectrum(lam))))

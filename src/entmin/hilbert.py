@@ -259,26 +259,58 @@ def shannon_entropy(p) -> float:
     return _entropy_bits(np.clip(p, 0.0, None))
 
 
-def _gram_stack(t: np.ndarray, subsets) -> np.ndarray:
-    """_reduced_states without its check."""
-    rows = t.shape[0] ** len(subsets[0])
-    m = np.empty((len(subsets), rows, t.size // rows), dtype=t.dtype)
+def _stack_space(t: np.ndarray, k: int, rows: int, space: list) -> list:
+    """Fit space, a list [gather, conjugate, Gram output] of flat buffers,
+    in place to _gram_stack's stacks for up to k subsets of t's axes whose
+    amplitude matrices have rows rows, and return it.
+
+    The gather and conjugate stacks hold k * t.size entries and the Gram
+    output k * rows**2.  A real t needs no conjugate: its Gram product
+    takes the gather itself, as m.conj() does.  A buffer already large
+    enough is kept; one too small is freed before its replacement is
+    allocated.
+    """
+    sizes = (k * t.size, k * t.size if np.iscomplexobj(t) else 0, k * rows * rows)
+    for i, size in enumerate(sizes):
+        if size and (space[i] is None or space[i].size < size):
+            space[i] = None
+            space[i] = np.empty(size, dtype=t.dtype)
+    return space
+
+
+def _gram_stack(t: np.ndarray, subsets, _space=None) -> np.ndarray:
+    """_reduced_states without its check.
+
+    The stacks are built in _space, a list fitted by _stack_space, and the
+    result is a view of its Gram buffer, valid until the next stack built
+    there; without one, a fresh space of this stack's size is used.  The
+    Gram product is the one BLAS call m @ m.conj().transpose(0, 2, 1)
+    makes, on the same operands, so the result is the same bit for bit.
+    """
+    k, rows = len(subsets), t.shape[0] ** len(subsets[0])
+    gather, conj, gram = _stack_space(t, k, rows, [None] * 3 if _space is None else _space)
+    shape = (k, rows, t.size // rows)
+    m = gather[:k * t.size].reshape(shape)
     for mat, x in zip(m, subsets):
         rest = tuple(a for a in range(t.ndim) if a not in x)
         mat.reshape(t.shape)[...] = t.transpose(tuple(x) + rest)
-    return m @ m.conj().transpose(0, 2, 1)
+    mc = m if conj is None else np.conjugate(m, out=conj[:m.size].reshape(shape))
+    return np.matmul(m, mc.transpose(0, 2, 1),
+                     out=gram[:k * rows * rows].reshape(k, rows, rows))
 
 
-def _reduced_states(t: np.ndarray, subsets) -> np.ndarray:
+def _reduced_states(t: np.ndarray, subsets, _space=None) -> np.ndarray:
     """Reduced density matrices of the state tensor t on equal-size subsets
     of its 0-based axes: the one reduced-state kernel.
 
     Each subset's axes lead, in the given order, and the rest are traced
     out.  The subsets' amplitude matrices are stacked and share one Gram
     product; the (len(subsets), r, r) result is checked as a DensityMatrix
-    is, so an unnormalized t is rejected.
+    is, so an unnormalized t is rejected.  A scan that builds many stacks
+    passes its own _space (see _gram_stack) and so reuses one set of
+    buffers instead of allocating each stack afresh.
     """
-    rho = _gram_stack(t, subsets)
+    rho = _gram_stack(t, subsets, _space)
     _check_density(rho)
     return rho
 
@@ -339,12 +371,18 @@ def save_state(psi: PureState, path) -> None:
 
 
 def load_state(path) -> PureState:
-    """Read a JSON state file, validating shape and normalization."""
+    """Read a JSON state file, validating shape and normalization; n and d
+    must be JSON integers."""
     with open(path) as fh:
         payload = json.load(fh)
     try:
-        n, d = int(payload["n"]), int(payload["d"])
+        n, d = payload["n"], payload["d"]
         amp = np.array([complex(re, im) for re, im in payload["amp"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed state file {path}: {exc}") from exc
+    for name, value in (("n", n), ("d", d)):
+        # a JSON integer loads as int; true and false load as bool
+        if type(value) is not int:
+            raise ValidationError(
+                f"malformed state file {path}: {name} must be an integer, got {value!r}")
     return PureState(n, d, amp)

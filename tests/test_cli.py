@@ -144,6 +144,29 @@ def test_stdout_is_refused_where_it_is_taken(monkeypatch, tmp_path, capsys, argv
     assert set(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["entropy", "s.json", "--out", "{tmp}/s.json"], "--out {tmp}/s.json would overwrite"),
+    (["entropy", "s.json", "--basis-out", "./s.json"], "--basis-out ./s.json would overwrite"),
+    (["state", "build", "graph", "--graph", "g.edges", "--out", "g.edges"],
+     "--out g.edges would overwrite"),
+    (["entropy", "s.json", "--out", "r.json", "--basis-out", "{tmp}/r.json"],
+     "--out and --basis-out name the same file"),
+], ids=["entropy-out-is-the-state", "basis-out-is-the-state", "build-out-is-the-graph",
+        "out-is-basis-out"])
+def test_no_output_overwrites_an_input_or_another_output(monkeypatch, tmp_path, capsys,
+                                                         argv, message):
+    forbid_work(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    save_state(ghz(3, 2), "s.json")
+    (tmp_path / "g.edges").write_text("1 2\n2 3\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run([a.format(tmp=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: " + message.format(tmp=tmp_path))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("kind", ["ghz", "det", "gdet", "graph", "hexacode"])
 def test_state_build_checks_out_before_building(monkeypatch, tmp_path, capsys, kind):
     forbid_work(monkeypatch)

@@ -4,6 +4,7 @@ import json
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -420,8 +421,8 @@ def chunk_threads(monkeypatch):
     threads, stacks = {}, {}
     build, eig = entopt._reduced_states, np.linalg.eigvalsh
 
-    def building(t, subsets):
-        rho = build(t, subsets)
+    def building(t, subsets, *space):
+        rho = build(t, subsets, *space)
         chunk = tuple(subsets)
         threads[chunk] = [threading.current_thread()]
         stacks[id(rho)] = (rho, chunk)
@@ -500,8 +501,8 @@ def on_chunk(monkeypatch, chunk, change):
     chunk, not the call order, which the two threads race on."""
     orig = entopt._reduced_states
 
-    def patched(t, subsets):
-        rho = orig(t, subsets)
+    def patched(t, subsets, *space):
+        rho = orig(t, subsets, *space)
         return change(rho) if list(subsets) == chunk else rho
 
     monkeypatch.setattr(entopt, "_reduced_states", patched)
@@ -619,6 +620,61 @@ def test_a_multi_chunk_scan_builds_one_pool(monkeypatch):
     built = count_pools(monkeypatch)
     best_subset_lower_bound(seeded_state(11, 2, 3))
     assert built == [1]
+
+
+def stack_buffers(monkeypatch):
+    """Wrap np.linalg.eigvalsh; the dict maps each thread that calls it to
+    the (data address, dtype) of every stack it passes."""
+    seen = {}
+    eig = np.linalg.eigvalsh
+
+    def decomposing(a, *args, **kwargs):
+        seen.setdefault(threading.current_thread(), set()).add(
+            (a.__array_interface__["data"][0], a.dtype))
+        return eig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", decomposing)
+    return seen
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_each_scanning_thread_builds_its_stacks_in_one_buffer(monkeypatch, real):
+    # 11 qubits: 32 subsets per chunk and C(11, 5) = 462 subsets of the top
+    # size, so 15 chunks, 7 of them on the helper.  A real state takes the
+    # branch with no conjugate stack; its oracle works in complex
+    # arithmetic, so the last bits may differ.
+    psi = seeded_state(11, 2, 3, real=real)
+    want = subset_bound_oracle(psi)
+    seen = stack_buffers(monkeypatch)
+    val, witness = best_subset_lower_bound(psi)
+    assert witness == want[1]
+    if real:
+        assert abs(val - want[0]) <= 1e-12
+    else:
+        assert val == want[0]
+    main = threading.main_thread()
+    assert len(seen) == 2 and main in seen
+    assert [len(stacks) for stacks in seen.values()] == [1, 1]
+    assert len(set().union(*seen.values())) == 2
+    dtype = np.dtype(np.float64 if real else np.complex128)
+    assert {dt for stacks in seen.values() for _, dt in stacks} == {dtype}
+
+
+@pytest.mark.parametrize("psi, subsets", [(hexacode_state(), math.comb(5, 2)),
+                                          (determinant_state(4), math.comb(3, 1))],
+                         ids=["hexacode", "det4"])
+def test_a_single_chunk_scan_allocates_no_more_than_its_stacks(psi, subsets):
+    # one chunk, the top size's subsets holding party 1, in real arithmetic:
+    # its gather and Gram stacks and the check's temporaries, with 64 KB for
+    # the scan's Python objects
+    stack = subsets * psi.dim * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        best_subset_lower_bound(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * stack + (64 << 10)
 
 
 @pytest.mark.parametrize("stop", [None, 2], ids=["full-scan", "capacity-stop"])

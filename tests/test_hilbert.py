@@ -253,6 +253,20 @@ def test_load_state_rejects_garbage(tmp_path):
         load_state(path)
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 2.9, "d": 2, "amp": [[1, 0], [0, 0], [0, 0], [0, 0]]}',
+    '{"n": "2", "d": 2, "amp": [[1, 0], [0, 0], [0, 0], [0, 0]]}',
+    '{"n": 2, "d": true, "amp": [[1, 0]]}',
+    '{"n": true, "d": 2, "amp": [[1, 0], [0, 0]]}',
+], ids=["float-n", "string-n", "bool-d", "bool-n"])
+def test_load_state_rejects_a_non_integer_shape(tmp_path, text):
+    # int() would read these as n = 2, n = 2, d = 1 and n = 1
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        load_state(path)
+
+
 def test_product_basis_rejects_nonunitary():
     with pytest.raises(ValidationError):
         ProductBasis(1, 2, (np.array([[1.0, 1.0], [0.0, 1.0]]),))
