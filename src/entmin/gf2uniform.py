@@ -339,8 +339,7 @@ def graph_reduced_density(g: GraphSpec, w) -> DensityMatrix:
     k = len(keep_axes)
     size = 1 << k
     x = np.arange(size)
-    party_bits = [mask_of_parties((t,), k) for t in range(1, k + 1)]
-    bits = ((x[:, None] & party_bits) != 0).astype(np.uint8)
+    bits = ((x[:, None] & _vertex_bits(k)) != 0).astype(np.uint8)
     d = _edge_signs(GraphSpec(k, g.adj[np.ix_(keep_axes, keep_axes)]))
 
     drop_axes = [a for a in range(g.v) if a not in set(keep_axes)]

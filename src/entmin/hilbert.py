@@ -23,8 +23,9 @@ UNITARY_TOL = 1e-10
 EIG_FLOOR = -1e-10
 
 
-def _frozen_array(a: np.ndarray) -> np.ndarray:
-    out = np.array(a)
+def _frozen_array(a, dtype=None) -> np.ndarray:
+    """Read-only copy of a, as dtype if given; the caller's array is left be."""
+    out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -43,7 +44,7 @@ class PureState:
 
     def __post_init__(self):
         check_capacity(self.n, self.d)
-        amp = np.asarray(self.amp, dtype=np.complex128).reshape(-1)
+        amp = _frozen_array(self.amp, np.complex128).reshape(-1)
         if amp.size != self.d**self.n:
             raise ValidationError(
                 f"amplitude vector has length {amp.size}, expected {self.d}**{self.n}"
@@ -52,7 +53,7 @@ class PureState:
         # written so that a NaN fails: every comparison with NaN is False
         if not abs(norm2 - 1.0) <= NORM_TOL:
             raise ValidationError(f"state is not normalized: |amp|^2 = {norm2!r}")
-        object.__setattr__(self, "amp", _frozen_array(amp))
+        object.__setattr__(self, "amp", amp)
 
     @property
     def dim(self) -> int:
@@ -74,6 +75,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
+        # checked before the copy: its temporaries never sit beside input and copy
         mat = np.asarray(self.mat, dtype=np.complex128)
         if mat.shape != (self.dim, self.dim):
             raise ValidationError(f"matrix shape {mat.shape} != ({self.dim}, {self.dim})")
@@ -126,12 +128,12 @@ class ProductBasis:
         mats = []
         eye = np.eye(self.d)
         for i, m in enumerate(self.u):
-            m = np.asarray(m, dtype=np.complex128)
+            m = _frozen_array(m, np.complex128)
             if m.shape != (self.d, self.d):
                 raise ValidationError(f"basis {i + 1} has shape {m.shape}")
             if not np.max(np.abs(m.conj().T @ m - eye)) <= UNITARY_TOL:
                 raise ValidationError(f"basis {i + 1} is not unitary within 1e-10")
-            mats.append(_frozen_array(m))
+            mats.append(m)
         object.__setattr__(self, "u", tuple(mats))
 
 
@@ -149,14 +151,14 @@ class SchmidtData:
     right_basis: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.float64)
+        c = _frozen_array(self.coeffs, np.float64)
         if abs(float(np.sum(c)) - 1.0) > 1e-10:
             raise ValidationError("Schmidt coefficients do not sum to 1")
         if np.any(np.diff(c) > 1e-12):
             raise ValidationError("Schmidt coefficients are not sorted descending")
-        object.__setattr__(self, "coeffs", _frozen_array(c))
-        object.__setattr__(self, "left_basis", _frozen_array(np.asarray(self.left_basis)))
-        object.__setattr__(self, "right_basis", _frozen_array(np.asarray(self.right_basis)))
+        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "left_basis", _frozen_array(self.left_basis))
+        object.__setattr__(self, "right_basis", _frozen_array(self.right_basis))
 
 
 def identity_basis(n: int, d: int) -> ProductBasis:
@@ -259,58 +261,39 @@ def shannon_entropy(p) -> float:
     return _entropy_bits(np.clip(p, 0.0, None))
 
 
-def _stack_space(t: np.ndarray, k: int, rows: int, space: list) -> list:
-    """Fit space, a list [gather, conjugate, Gram output] of flat buffers,
-    in place to _gram_stack's stacks for up to k subsets of t's axes whose
-    amplitude matrices have rows rows, and return it.
-
-    The gather and conjugate stacks hold k * t.size entries and the Gram
-    output k * rows**2.  A real t needs no conjugate: its Gram product
-    takes the gather itself, as m.conj() does.  A buffer already large
-    enough is kept; one too small is freed before its replacement is
-    allocated.
+def _stack_space(t: np.ndarray, chunk) -> tuple:
+    """Fresh (gather, conjugate, Gram output) flat buffers for the
+    _reduced_states stacks of up to len(chunk) subsets of t's axes, each of
+    len(chunk[0]) axes: k * t.size, k * t.size and k * r**2 entries for
+    k = len(chunk) and r = d**len(chunk[0]).  A real t gets None for the
+    conjugate: its Gram product takes the gather itself, as m.conj() does.
     """
+    k, rows = len(chunk), t.shape[0] ** len(chunk[0])
     sizes = (k * t.size, k * t.size if np.iscomplexobj(t) else 0, k * rows * rows)
-    for i, size in enumerate(sizes):
-        if size and (space[i] is None or space[i].size < size):
-            space[i] = None
-            space[i] = np.empty(size, dtype=t.dtype)
-    return space
+    return tuple(np.empty(size, dtype=t.dtype) if size else None for size in sizes)
 
 
-def _gram_stack(t: np.ndarray, subsets, _space=None) -> np.ndarray:
-    """_reduced_states without its check.
+def _reduced_states(t: np.ndarray, subsets, space=None) -> np.ndarray:
+    """Reduced density matrices of the state tensor t on equal-size subsets
+    of its 0-based axes: the one reduced-state kernel.
 
-    The stacks are built in _space, a list fitted by _stack_space, and the
-    result is a view of its Gram buffer, valid until the next stack built
-    there; without one, a fresh space of this stack's size is used.  The
-    Gram product is the one BLAS call m @ m.conj().transpose(0, 2, 1)
-    makes, on the same operands, so the result is the same bit for bit.
+    Each subset's axes lead, in the given order, and the rest are traced
+    out.  The subsets' amplitude matrices are stacked and share one Gram
+    product, the one BLAS call m @ m.conj().transpose(0, 2, 1) makes; the
+    (len(subsets), r, r) result is checked as a DensityMatrix is, so an
+    unnormalized t is rejected.  The stacks are built in space, from
+    _stack_space for at least this many subsets of this size (a fresh one
+    if None), and the result views its Gram buffer until the next stack.
     """
     k, rows = len(subsets), t.shape[0] ** len(subsets[0])
-    gather, conj, gram = _stack_space(t, k, rows, [None] * 3 if _space is None else _space)
+    gather, conj, gram = _stack_space(t, subsets) if space is None else space
     shape = (k, rows, t.size // rows)
     m = gather[:k * t.size].reshape(shape)
     for mat, x in zip(m, subsets):
         rest = tuple(a for a in range(t.ndim) if a not in x)
         mat.reshape(t.shape)[...] = t.transpose(tuple(x) + rest)
     mc = m if conj is None else np.conjugate(m, out=conj[:m.size].reshape(shape))
-    return np.matmul(m, mc.transpose(0, 2, 1),
-                     out=gram[:k * rows * rows].reshape(k, rows, rows))
-
-
-def _reduced_states(t: np.ndarray, subsets, _space=None) -> np.ndarray:
-    """Reduced density matrices of the state tensor t on equal-size subsets
-    of its 0-based axes: the one reduced-state kernel.
-
-    Each subset's axes lead, in the given order, and the rest are traced
-    out.  The subsets' amplitude matrices are stacked and share one Gram
-    product; the (len(subsets), r, r) result is checked as a DensityMatrix
-    is, so an unnormalized t is rejected.  A scan that builds many stacks
-    passes its own _space (see _gram_stack) and so reuses one set of
-    buffers instead of allocating each stack afresh.
-    """
-    rho = _gram_stack(t, subsets, _space)
+    rho = np.matmul(m, mc.transpose(0, 2, 1), out=gram[:k * rows * rows].reshape(k, rows, rows))
     _check_density(rho)
     return rho
 
@@ -319,12 +302,13 @@ def partial_trace(psi: PureState, keep) -> DensityMatrix:
     """Reduced density matrix of the given parties (1-based labels).
 
     The kept subsystem keeps ascending party order; the rest is traced out.
-    The kernel's check runs once, in DensityMatrix.
+    The matrix is checked by the kernel and again by DensityMatrix, which
+    costs little next to the Gram product.
     """
     axes = parties_to_axes(keep, psi.n)
     if len(axes) == 0 or len(axes) == psi.n:
         raise ValidationError("keep-set must be a nonempty proper subset of the parties")
-    return DensityMatrix(psi.d ** len(axes), _gram_stack(psi.tensor(), [axes])[0])
+    return DensityMatrix(psi.d ** len(axes), _reduced_states(psi.tensor(), [axes])[0])
 
 
 def _clamped_spectrum(lam: np.ndarray) -> np.ndarray:

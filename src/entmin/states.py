@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .hilbert import PureState
+from .hilbert import PureState, _frozen_array
 from .indexing import check_capacity, flat_from_digits
 
 
@@ -27,7 +27,7 @@ class GraphSpec:
     adj: np.ndarray
 
     def __post_init__(self):
-        adj = np.asarray(self.adj, dtype=np.uint8)
+        adj = _frozen_array(self.adj, np.uint8)
         if adj.shape != (self.v, self.v):
             raise ValidationError(f"adjacency shape {adj.shape} != ({self.v}, {self.v})")
         if np.any(adj > 1):
@@ -36,7 +36,6 @@ class GraphSpec:
             raise ValidationError("adjacency matrix must be symmetric")
         if np.any(np.diag(adj) != 0):
             raise ValidationError("adjacency diagonal must be zero")
-        adj.setflags(write=False)
         object.__setattr__(self, "adj", adj)
 
     @classmethod
@@ -159,7 +158,7 @@ def graph_state(g: GraphSpec) -> PureState:
     """Qubit state with amplitudes (-1)^(edge quadratic form) / 2^(v/2)."""
     check_capacity(g.v, 2)
     amp = _edge_signs(g) / math.sqrt(1 << g.v)
-    return PureState(g.v, 2, amp.astype(np.complex128))
+    return PureState(g.v, 2, amp)
 
 
 _HEXACODE_EDGES = ((1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (1, 4), (2, 5), (3, 6))
@@ -199,7 +198,8 @@ def save_graph(g: GraphSpec, path) -> None:
 
 
 def load_graph(path) -> GraphSpec:
-    """Read an edge-list file; the vertex count is the largest label."""
+    """Read an edge-list file; the vertex count is the largest label.  A
+    count past the graph-state cap is refused before the v x v adjacency."""
     edges = []
     with open(path) as fh:
         for line in fh:
@@ -212,4 +212,6 @@ def load_graph(path) -> GraphSpec:
             edges.append((int(parts[0]), int(parts[1])))
     if not edges:
         raise ValidationError("empty edge list")
-    return GraphSpec.from_edges(max(max(e) for e in edges), edges)
+    v = max(max(e) for e in edges)
+    check_capacity(v, 2)
+    return GraphSpec.from_edges(v, edges)

@@ -571,6 +571,16 @@ def test_a_huge_gdet_exits_3_without_building_its_size(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_a_graph_past_the_cap_exits_3_without_output(tmp_path, capsys):
+    # its 300000000 x 300000000 adjacency would not fit in memory
+    edges = tmp_path / "big.edges"
+    edges.write_text("1 300000000\n")
+    out = tmp_path / "x.json"
+    assert run(["state", "build", "graph", "--graph", str(edges), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("capacity: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("restarts", ["2", "3"])
 def test_negative_seed_exits_2_before_the_search(tmp_path, capsys, monkeypatch, restarts):
     def no_search(*args, **kwargs):

@@ -5,6 +5,7 @@ import math
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -272,12 +273,13 @@ def test_subset_scan_spans_chunks(monkeypatch):
     assert sorted(calls) == sorted([per_chunk] * 14 + [462 - 14 * per_chunk])
 
 
-def bell_pairs_and_zeros():
-    """Bell pairs on parties (1, 2) and (3, 4), |00> on parties 5 and 6:
-    size-2 entropies reach 2 bits, as many as at size 3."""
+def bell_pairs_and_zeros(n=6):
+    """Bell pairs on parties (1, 2) and (3, 4), |0> on parties 5 to n:
+    size-2 entropies reach 2 bits, as many as at any larger size."""
     bell = PureState(2, 2, np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
-    zeros = PureState(2, 2, np.array([1.0, 0.0, 0.0, 0.0]))
-    return tensor_product(tensor_product(bell, bell), zeros)
+    zeros = np.zeros(1 << (n - 4))
+    zeros[0] = 1.0
+    return tensor_product(tensor_product(bell, bell), PureState(n - 4, 2, zeros))
 
 
 def test_subset_scan_skips_complements(monkeypatch):
@@ -624,13 +626,13 @@ def test_a_multi_chunk_scan_builds_one_pool(monkeypatch):
 
 def stack_buffers(monkeypatch):
     """Wrap np.linalg.eigvalsh; the dict maps each thread that calls it to
-    the (data address, dtype) of every stack it passes."""
+    the (data address, dtype, matrix order) of every stack it passes."""
     seen = {}
     eig = np.linalg.eigvalsh
 
     def decomposing(a, *args, **kwargs):
         seen.setdefault(threading.current_thread(), set()).add(
-            (a.__array_interface__["data"][0], a.dtype))
+            (a.__array_interface__["data"][0], a.dtype, a.shape[-1]))
         return eig(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", decomposing)
@@ -657,7 +659,60 @@ def test_each_scanning_thread_builds_its_stacks_in_one_buffer(monkeypatch, real)
     assert [len(stacks) for stacks in seen.values()] == [1, 1]
     assert len(set().union(*seen.values())) == 2
     dtype = np.dtype(np.float64 if real else np.complex128)
-    assert {dt for stacks in seen.values() for _, dt in stacks} == {dtype}
+    assert {dt for stacks in seen.values() for _, dt, _ in stacks} == {dtype}
+
+
+@pytest.mark.parametrize("phase", [1.0, np.exp(1j * math.pi / 3)], ids=["real", "complex"])
+def test_a_scan_of_several_multi_chunk_sizes_keeps_one_buffer_per_thread_and_size(
+        monkeypatch, phase):
+    # 11 qubits, 32 subsets per chunk: size 5 (15 chunks) sets T = 2, so
+    # sizes 2 to 4 follow; size 2 stops at its capacity in its first chunk,
+    # sizes 3 and 4 take all their 6 and 11 chunks
+    bell = bell_pairs_and_zeros(11)
+    psi = PureState(11, 2, bell.amp * phase)
+    want = subset_bound_oracle(psi)
+    seen = stack_buffers(monkeypatch)
+    chunks = count_eigvalsh(monkeypatch)
+    assert best_subset_lower_bound(psi) == want
+    assert want[1] == (1, 3)
+    assert len(chunks) == 15 + 1 + 6 + 11
+    # each thread builds every stack of one size (matrix order 2**size) in
+    # one buffer; each multi-chunk size has a helper thread of its own
+    by_size = {}
+    for thread, stacks in seen.items():
+        for rows in {r for _, _, r in stacks}:
+            assert len({addr for addr, _, r in stacks if r == rows}) == 1, (thread, rows)
+            by_size.setdefault(rows, set()).add(thread)
+    assert {rows: len(threads) for rows, threads in by_size.items()} == {
+        32: 2, 4: 1, 8: 2, 16: 2}
+    assert all(threading.main_thread() in threads for threads in by_size.values())
+    assert len(seen) == 4
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_a_sizes_spaces_live_until_its_generator_closes_the_helpers_first(monkeypatch, real):
+    # each buffer reports its release; the helper's space (made second)
+    # must go first, and nothing may go before the close
+    released, made = [], []
+    orig = entopt._stack_space
+
+    def making(t, chunk):
+        space = orig(t, chunk)
+        owner = len(made)
+        made.append([weakref.ref(buf, lambda _: released.append(owner))
+                     for buf in space if buf is not None])
+        return space
+
+    monkeypatch.setattr(entopt, "_stack_space", making)
+    t = seeded_state(8, 2, 7, real=real).tensor()
+    t = t.real if real else t
+    scan = entopt._subset_spectra(t, itertools.combinations(range(8), 4), 4)
+    next(scan)
+    next(scan)
+    assert len(made) == 2 and released == []
+    scan.close()
+    per_space = 2 if real else 3
+    assert released == [1] * per_space + [0] * per_space
 
 
 @pytest.mark.parametrize("psi, subsets", [(hexacode_state(), math.comb(5, 2)),

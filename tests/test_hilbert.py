@@ -14,6 +14,7 @@ from entmin.hilbert import (
     _check_density,
     _entropy_bits,
     _reduced_states,
+    _stack_space,
     identity_basis,
     load_state,
     outcome_distribution,
@@ -52,6 +53,21 @@ def test_purestate_amplitudes_are_readonly():
     psi = PureState(1, 2, np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         psi.amp[0] = 0.5
+
+
+def test_constructors_keep_a_frozen_copy_of_their_callers_arrays(rng):
+    # each converts to complex128 and copies in one step; the caller's
+    # array stays writable and every kept value is its own, bytewise
+    z = random_state(3, 2, rng).amp.copy()
+    real = z.real / np.linalg.norm(z.real)
+    u = haar(2, rng)
+    rho = partial_trace(random_state(3, 2, rng), (1,)).mat.copy()
+    pairs = [(z, PureState(3, 2, z).amp), (real, PureState(3, 2, real).amp),
+             (u, ProductBasis(1, 2, (u,)).u[0]), (rho, DensityMatrix(2, rho).mat)]
+    for given, kept in pairs:
+        assert not np.shares_memory(given, kept)
+        assert given.flags.writeable and not kept.flags.writeable
+        assert kept.tobytes() == given.astype(np.complex128).tobytes()
 
 
 def test_tensor_layout_party_one_most_significant():
@@ -177,7 +193,8 @@ def test_sliced_hermitian_test_decides_as_the_whole_stack(rng, shape):
             assert rejected is not whole_stack_is_hermitian(bad), (defect, at)
 
 
-def test_partial_trace_checks_its_matrix_once(monkeypatch, rng):
+def test_partial_trace_checks_its_matrix_in_the_kernel_and_in_density_matrix(monkeypatch, rng):
+    # the kernel checks its one-matrix stack, DensityMatrix the matrix again
     calls = []
     orig = hilbert._check_density
 
@@ -187,7 +204,26 @@ def test_partial_trace_checks_its_matrix_once(monkeypatch, rng):
 
     monkeypatch.setattr(hilbert, "_check_density", counting)
     partial_trace(random_state(4, 2, rng), (1, 3))
-    assert calls == [(4, 4)]
+    assert calls == [(1, 4, 4), (4, 4)]
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_reduced_states_in_a_larger_space_are_a_fresh_space_bitwise(rng, real):
+    # a space made for five subsets of three axes holds a stack of two
+    # subsets of three, and one of three subsets of two, in its leading
+    # entries; a real t gets no conjugate buffer
+    psi = random_state(6, 2, rng)
+    t = psi.tensor().real.copy() if real else psi.tensor()
+    t = t / np.linalg.norm(t)
+    space = _stack_space(t, list(itertools.combinations(range(6), 3))[:5])
+    assert (space[1] is None) is real
+    assert {buf.dtype for buf in space if buf is not None} == {t.dtype}
+    for subsets in ([(0, 2, 4), (5, 1, 3)], [(0, 1), (2, 5), (4, 3)]):
+        fresh = _reduced_states(t, subsets)
+        reused = _reduced_states(t, subsets, space)
+        assert np.shares_memory(reused, space[2])
+        assert reused.shape == fresh.shape and reused.dtype == fresh.dtype
+        assert reused.tobytes() == fresh.tobytes()
 
 
 def test_partial_trace_requires_proper_subset(rng):

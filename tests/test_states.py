@@ -184,6 +184,25 @@ def test_graphspec_validation():
     assert g.edges() == ((1, 2), (2, 3))
 
 
+def test_graphspec_copies_its_callers_array():
+    a = np.zeros((3, 3), np.uint8)
+    g = GraphSpec(3, a)
+    assert not np.shares_memory(a, g.adj)
+    assert a.flags.writeable and not g.adj.flags.writeable
+    a[0, 2] = a[2, 0] = 1
+    assert g.edges() == () and not g.adj.any()
+
+
+def test_a_graph_file_past_the_cap_is_refused_before_its_matrix(tmp_path):
+    # 2**23 amplitudes, or a 30000 x 30000 adjacency: neither is allocated
+    for label in (23, 30000, 300000000):
+        path = tmp_path / f"{label}.edges"
+        path.write_text(f"1 2\n2 {label}\n")
+        assert capacity_error_peak(load_graph, path) < 1 << 20
+    path.write_text("1 2\n2 22\n")
+    assert load_graph(path).v == 22
+
+
 def test_hexacode_graph_is_the_triangular_prism():
     g = hexacode_graph()
     assert g.v == 6
